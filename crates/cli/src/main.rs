@@ -441,7 +441,7 @@ fn check_workload(dataset: &str) -> Vec<String> {
 /// `analyze`, executes each plan and annotates operators with measured
 /// row counts and wall time. Returns the number of failed queries.
 fn run_explain(engine: &Engine, queries: &[String], k: usize, analyze: bool) -> usize {
-    let opts = aqks_sqlgen::ExecOptions::with_threads(engine.threads());
+    let ctx = aqks_sqlgen::ExecCtx::with_threads(engine.threads());
     let db = engine.database();
     let mut failures = 0;
     for q in queries {
@@ -477,7 +477,7 @@ fn run_explain(engine: &Engine, queries: &[String], k: usize, analyze: bool) -> 
             };
             println!("plan fingerprint: {}", aqks_plancheck::fingerprint_hex(&plan));
             let rendered = if analyze {
-                match aqks_sqlgen::run_plan_opts(&plan, db, &aqks_sqlgen::SharedRows::new(), opts) {
+                match aqks_sqlgen::run(&plan, db, &ctx) {
                     Ok((_, stats)) => aqks_sqlgen::render_plan_with_stats(&plan, &stats),
                     Err(e) => {
                         println!("  execution error: {e}");

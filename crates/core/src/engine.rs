@@ -198,7 +198,8 @@ pub struct Engine {
     matcher: Matcher,
     view: Option<NormalizedView>,
     options: EngineOptions,
-    /// Worker threads for parallel plan execution (1 = sequential).
+    /// Worker threads for plan execution (1 = every operator runs on
+    /// the calling thread).
     threads: usize,
     /// Per-thread pipeline tracing sinks; disabled by default, so every
     /// span below costs one atomic load until someone asks for a trace.
@@ -207,7 +208,7 @@ pub struct Engine {
 
 /// Compile-time proof that a shared engine can cross a worker-pool
 /// boundary: a future non-`Sync` interior cache is a build error here,
-/// not a data race in production (mirrors `sqlgen::par`'s asserts).
+/// not a data race in production (mirrors `sqlgen::ops`'s asserts).
 const fn assert_send_sync<T: Send + Sync>() {}
 const _: () = assert_send_sync::<Engine>();
 const _: () = assert_send_sync::<std::sync::Arc<Engine>>();
@@ -516,11 +517,10 @@ impl Engine {
             }
             let run = {
                 let s = rec.span("exec");
-                let run = aqks_sqlgen::run_plan_opts(
+                let run = aqks_sqlgen::run(
                     &plan,
                     &self.db,
-                    &aqks_sqlgen::SharedRows::new(),
-                    aqks_sqlgen::ExecOptions::with_threads(self.threads),
+                    &aqks_sqlgen::ExecCtx::with_threads(self.threads),
                 );
                 if let Ok((result, _)) = &run {
                     s.add("exec.rows_out", result.row_count() as u64);

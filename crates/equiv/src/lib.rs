@@ -36,9 +36,7 @@ pub mod share;
 
 pub use canon::{canonicalize, certify_rewrite, Canonical};
 pub use classes::{analyze, ClassAnalysis, EquivClass};
-pub use share::{
-    render_shared, run_shared, run_shared_opts, shared_set, SharePoint, SharedRun, SharedSet,
-};
+pub use share::{render_shared, run_shared, shared_set, SharePoint, SharedRun, SharedSet};
 
 /// A rejected rewrite or a canonical plan that fails verification.
 #[derive(Debug)]

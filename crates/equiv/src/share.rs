@@ -13,10 +13,7 @@ use std::sync::Arc;
 
 use aqks_plancheck::fingerprint;
 use aqks_relational::Database;
-use aqks_sqlgen::{
-    materialize_batches, run_plan_opts, ColumnBatch, ExecError, ExecOptions, ExecStats, PlanNode,
-    ResultTable, SharedRows,
-};
+use aqks_sqlgen::{materialize, run, ExecCtx, ExecError, ExecStats, PlanNode, ResultTable};
 
 use crate::classes::ClassAnalysis;
 
@@ -48,7 +45,7 @@ pub struct SharedSet {
 #[derive(Debug)]
 pub struct SharedRun {
     /// Result of each representative plan, in [`SharedSet::plans`]
-    /// order (stabilized exactly as `run_plan` would).
+    /// order (stabilized exactly as `aqks_sqlgen::run` would).
     pub tables: Vec<ResultTable>,
     /// Executor stats of each representative plan run.
     pub plan_stats: Vec<ExecStats>,
@@ -141,45 +138,32 @@ static SHARE_REPLAYS: aqks_obs::metrics::Counter =
 
 /// Executes a shared set: each shared subtree is materialized once,
 /// then every representative plan runs with the materialized batches
-/// substituted at its consumer sites.
+/// substituted at its consumer sites. The batches are `Arc`-shared, so
+/// feeding them to N consumers costs N reference-count bumps, not N
+/// deep copies.
 pub fn run_shared(set: &SharedSet, db: &Database) -> Result<SharedRun, ExecError> {
-    run_shared_opts(set, db, ExecOptions::default())
-}
-
-/// [`run_shared`] with execution options: both the shared-subtree
-/// materializations and the consumer plans run with `opts` (worker
-/// thread count). The materialized batches are `Arc`-shared, so feeding
-/// them to N consumers costs N reference-count bumps, not N deep
-/// copies.
-pub fn run_shared_opts(
-    set: &SharedSet,
-    db: &Database,
-    opts: ExecOptions,
-) -> Result<SharedRun, ExecError> {
-    let mut share_batches: Vec<Arc<Vec<ColumnBatch>>> = Vec::with_capacity(set.shares.len());
+    let mut share_batches = Vec::with_capacity(set.shares.len());
     let mut share_stats = Vec::with_capacity(set.shares.len());
     for sp in &set.shares {
-        let (batches, stats) = materialize_batches(&sp.subtree, db, opts)?;
+        let (batches, stats) = materialize(&sp.subtree, db, &ExecCtx::default())?;
         share_batches.push(Arc::new(batches));
         share_stats.push(stats);
     }
     let mut tables = Vec::with_capacity(set.plans.len());
     let mut plan_stats = Vec::with_capacity(set.plans.len());
     for (pi, plan) in set.plans.iter().enumerate() {
-        let mut cached = SharedRows::new();
-        let mut replays = 0u64;
+        let mut ctx = ExecCtx::default();
         for (k, sp) in set.shares.iter().enumerate() {
             for &(p, id) in &sp.consumers {
                 if p == pi {
-                    cached.insert(id, Arc::clone(&share_batches[k]));
-                    replays += 1;
+                    ctx.shared.insert(id, Arc::clone(&share_batches[k]));
                 }
             }
         }
-        if replays > 0 && aqks_obs::metrics::enabled() {
-            SHARE_REPLAYS.add(replays);
+        if !ctx.shared.is_empty() && aqks_obs::metrics::enabled() {
+            SHARE_REPLAYS.add(ctx.shared.len() as u64);
         }
-        let (table, stats) = run_plan_opts(plan, db, &cached, opts)?;
+        let (table, stats) = run(plan, db, &ctx)?;
         tables.push(table);
         plan_stats.push(stats);
     }

@@ -10,7 +10,8 @@ use aqks_equiv::{analyze, canonicalize, certify_rewrite, run_shared, shared_set,
 use aqks_plancheck::{fingerprint, mutate};
 use aqks_relational::Database;
 use aqks_sqlgen::{
-    plan, plan_with_options, render_plan, run_plan, PlanNode, PlanOp, PlanOptions, SelectStatement,
+    plan, plan_with_options, render_plan, run, ExecCtx, PlanNode, PlanOp, PlanOptions,
+    SelectStatement,
 };
 
 const QUERIES: &[&str] = &[
@@ -46,8 +47,8 @@ fn canonical_plan_executes_to_the_same_result() {
             (0..p.cols.len()).collect::<Vec<_>>(),
             "statement-level plan permuted its output"
         );
-        let (a, _) = run_plan(&p, &db).expect("original executes");
-        let (b, _) = run_plan(&canon.plan, &db).expect("canonical executes");
+        let (a, _) = run(&p, &db, &ExecCtx::default()).expect("original executes");
+        let (b, _) = run(&canon.plan, &db, &ExecCtx::default()).expect("canonical executes");
         assert_eq!(
             a.clone().sorted().rows,
             b.clone().sorted().rows,
@@ -188,7 +189,8 @@ fn shared_execution_matches_per_plan_results_and_saves_rows() {
     let mut baseline_rows = 0u64;
     for (ci, class) in analysis.classes.iter().enumerate() {
         for &m in &class.members {
-            let (t, stats) = run_plan(&plans[m], &db).expect("member executes");
+            let (t, stats) =
+                aqks_sqlgen::run(&plans[m], &db, &ExecCtx::default()).expect("member executes");
             baseline_rows += stats.rows_flowed();
             assert_eq!(
                 t.sorted().rows,

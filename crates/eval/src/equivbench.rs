@@ -18,7 +18,7 @@ use aqks_core::Engine;
 use aqks_datasets::university;
 use aqks_equiv::{analyze, run_shared, shared_set};
 use aqks_relational::Database;
-use aqks_sqlgen::{plan, plan_with_options, run_plan, PlanNode, PlanOptions};
+use aqks_sqlgen::{plan, plan_with_options, ExecCtx, PlanNode, PlanOptions};
 
 use crate::plans::university_queries;
 use crate::workload::{
@@ -133,7 +133,7 @@ fn bench_workload(
     // shared run of the member's class representative.
     for (ci, class) in analysis.classes.iter().enumerate() {
         for &m in &class.members {
-            match run_plan(&plans_vec[m], db) {
+            match aqks_sqlgen::run(&plans_vec[m], db, &ExecCtx::default()) {
                 Ok((table, stats)) => {
                     out.baseline_rows += stats.rows_flowed();
                     if table.sorted().rows != run.tables[ci].clone().sorted().rows {

@@ -14,7 +14,7 @@
 use std::time::Instant;
 
 use aqks_core::Engine;
-use aqks_sqlgen::{plan, run_plan, run_plan_opts, ExecOptions, ExecStats, PlanNode, SharedRows};
+use aqks_sqlgen::{plan, run, ExecCtx, ExecStats, PlanNode};
 
 use crate::timing::TimingSummary;
 use crate::workload::{acmdl_queries, tpch_queries, EvalQuery, Scale};
@@ -143,13 +143,13 @@ fn bench_workload(
             // Warm-up, then `reps` timed runs; keep the stats of the
             // median-time run so operator timings sum to the reported
             // median wall time.
-            if let Err(e) = run_plan(&prep.plan, engine.database()) {
+            if let Err(e) = run(&prep.plan, engine.database(), &ExecCtx::default()) {
                 return failed(q, workload, format!("execute: {e}"));
             }
             let mut samples: Vec<(f64, usize, ExecStats)> = Vec::with_capacity(reps);
             for _ in 0..reps.max(1) {
                 let t = Instant::now();
-                match run_plan(&prep.plan, engine.database()) {
+                match run(&prep.plan, engine.database(), &ExecCtx::default()) {
                     Ok((table, stats)) => {
                         samples.push((t.elapsed().as_secs_f64() * 1e6, table.row_count(), stats))
                     }
@@ -307,7 +307,6 @@ pub fn run_thread_sweep(max_threads: usize, reps: usize) -> ThreadSweep {
         }
     };
     let db = engine.database();
-    let none = SharedRows::new();
     let rows: Vec<ThreadSweepRow> = tpch_queries()
         .into_iter()
         .map(|q| {
@@ -333,9 +332,9 @@ pub fn run_thread_sweep(max_threads: usize, reps: usize) -> ThreadSweep {
             let mut points = Vec::with_capacity(threads.len());
             let mut result_rows = 0;
             for &t in &threads {
-                let opts = ExecOptions::with_threads(t);
+                let ctx = ExecCtx::with_threads(t);
                 // Warm-up run doubles as the determinism check.
-                let table = match run_plan_opts(&p, db, &none, opts) {
+                let table = match run(&p, db, &ctx) {
                     Ok((table, _)) => table,
                     Err(e) => return fail(format!("execute (threads={t}): {e}")),
                 };
@@ -350,7 +349,7 @@ pub fn run_thread_sweep(max_threads: usize, reps: usize) -> ThreadSweep {
                 let mut samples = Vec::with_capacity(reps.max(1));
                 for _ in 0..reps.max(1) {
                     let start = Instant::now();
-                    if let Err(e) = run_plan_opts(&p, db, &none, opts) {
+                    if let Err(e) = run(&p, db, &ctx) {
                         return fail(format!("execute (threads={t}): {e}"));
                     }
                     samples.push(start.elapsed().as_secs_f64() * 1e6);

@@ -8,7 +8,7 @@ use aqks_relational::{AttrType, Database, RelationSchema, Value};
 use aqks_sqlgen::ast::{
     AggFunc, ColumnRef, OrderKey, Predicate, SelectItem, SelectStatement, TableExpr,
 };
-use aqks_sqlgen::{plan, render_plan, run_plan};
+use aqks_sqlgen::{plan, render_plan, run, ExecCtx};
 
 /// SplitMix64: deterministic, dependency-free PRNG.
 struct Rng(u64);
@@ -188,7 +188,7 @@ fn random_interpretations_plan_verify_and_execute() {
                     render_plan(&p)
                 )
             });
-            run_plan(&p, &db)
+            run(&p, &db, &ExecCtx::default())
                 .unwrap_or_else(|e| panic!("round {round} case {case}: execution failed: {e}"));
 
             let again = plan(&stmt, &db).expect("plans again");

@@ -7,7 +7,7 @@ use aqks_datasets::university;
 use aqks_plancheck::{fingerprint, mutate, render_verified, verify, PlanErrorKind};
 use aqks_relational::{AttrType, Database, RelationSchema, Value};
 use aqks_sqlgen::ast::{AggFunc, ColumnRef, Predicate, SelectItem, SelectStatement, TableExpr};
-use aqks_sqlgen::{plan, render_plan, run_plan, PlanNode};
+use aqks_sqlgen::{plan, render_plan, run, ExecCtx, PlanNode};
 
 /// Plans every interpretation the engine generates for `queries`.
 fn engine_plans(db: &Database, queries: &[&str]) -> Vec<(SelectStatement, PlanNode)> {
@@ -38,7 +38,7 @@ fn planner_produced_plans_verify_clean_and_execute() {
     for (stmt, p) in engine_plans(&db, UNIVERSITY_QUERIES) {
         let verified = verify(&p, &db, Some(&stmt))
             .unwrap_or_else(|e| panic!("clean plan rejected: {e}\n{}", render_plan(&p)));
-        run_plan(&p, &db).expect("verified plan executes");
+        run(&p, &db, &ExecCtx::default()).expect("verified plan executes");
         // The annotated rendering surfaces properties for every node.
         let text = render_verified(&p, &verified);
         assert!(text.contains("rows<="), "no row bounds in:\n{text}");
@@ -128,8 +128,8 @@ fn benign_input_swap_verifies_clean_but_moves_the_fingerprint() {
         // only the canonical fingerprint (aqks-equiv) identifies them.
         assert_ne!(fingerprint(&p), fingerprint(&good), "input swap left fingerprint unchanged");
         // Same rows out: the swap must not change results.
-        let (a, _) = run_plan(&p, &db).expect("original executes");
-        let (b, _) = run_plan(&good, &db).expect("mutant executes");
+        let (a, _) = run(&p, &db, &ExecCtx::default()).expect("original executes");
+        let (b, _) = run(&good, &db, &ExecCtx::default()).expect("mutant executes");
         assert_eq!(a.sorted().rows, b.sorted().rows, "rows changed by input swap");
     }
     assert!(swapped >= 3, "too few joins exercised ({swapped})");

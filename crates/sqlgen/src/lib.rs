@@ -13,7 +13,9 @@
 //!   tree (scans with predicate pushdown, cardinality-aware hash/cross
 //!   joins, aggregation, sort/limit) with an EXPLAIN pretty-printer;
 //! * [`ops`] — a Volcano-style batch executor over the plan, recording
-//!   per-operator rows and wall time into [`ops::ExecStats`];
+//!   per-operator rows and wall time into [`ops::ExecStats`]: [`run()`]
+//!   returns a plan's result table and [`materialize()`] its raw batches,
+//!   both under an [`ExecCtx`] (thread count and shared subtrees);
 //! * [`exec`] — the stable `execute(stmt, db)` facade over plan + run,
 //!   standing in for the RDBMS the paper ran on.
 //!
@@ -33,12 +35,8 @@ pub mod result;
 
 pub use ast::{AggFunc, ColumnRef, Predicate, SelectItem, SelectStatement, TableExpr};
 pub use batch::{Bitmap, Column, ColumnBatch, ColumnData};
-pub use exec::{execute, execute_with_opts, execute_with_stats, ExecError};
-pub use ops::{
-    materialize_batches, materialize_plan, materialize_shared, run_plan, run_plan_opts,
-    run_plan_with_shared, ExecStats, OpMetrics, SharedRows,
-};
-pub use par::ExecOptions;
+pub use exec::{execute, ExecError};
+pub use ops::{materialize, run, ExecCtx, ExecStats, OpMetrics, SharedRows};
 pub use plan::{
     plan, plan_with_options, render_plan, render_plan_with_stats, PhysAggItem, PhysPred, PlanNode,
     PlanOp, PlanOptions,

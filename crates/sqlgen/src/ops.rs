@@ -10,23 +10,28 @@
 //! `aqks explain --analyze` and the bench harness can attribute cost
 //! operator by operator.
 //!
-//! With [`ExecOptions::threads`] > 1 the heavy operators go parallel:
-//! the scan filters fixed-size morsels on a scoped worker pool, the
-//! hash-join build radix-partitions its keys and builds per-partition
-//! tables concurrently, and the aggregate folds contiguous input chunks
-//! into per-chunk partial states merged deterministically at finalize.
-//! Results are *identical* at every thread count: morsel/chunk results
-//! are re-assembled in input order, per-key join match lists stay in
-//! global build order, and group output keeps first-appearance order.
-//! `threads == 1` (the default) takes the exact sequential legacy code
-//! paths, including the lazy scan and streaming join probe.
+//! The heavy operators each have one morsel-driven code path, whatever
+//! the thread count. The scan filters 1024-row morsels and the
+//! hash join probes its input batch by batch, both in waves: the first
+//! wave holds [`ExecCtx::threads`] morsels and each later wave twice as
+//! many, so a `LIMIT` stops them after a short prefix. The hash-join
+//! build routes its keys into partitions morsel by morsel and builds one
+//! table per partition; the aggregate folds contiguous input chunks into
+//! partial states merged in chunk order. How many workers run each step
+//! comes from the thread count and the input size alone (one below the
+//! parallel threshold, with one partition and one chunk); `par` decides
+//! whether that means a worker pool. Results are *identical* at every
+//! thread count: morsel and chunk results are re-assembled in input
+//! order, per-key join match lists stay in build order, and group output
+//! keeps first-appearance order.
 //!
 //! SQL semantics are inherited unchanged from the original interpreter:
 //! aggregates skip NULLs, `SUM`/`MIN`/`MAX`/`AVG` over an empty group
-//! yield NULL while `COUNT` yields 0, `AVG` is always a float, a global
-//! aggregate returns exactly one row, and NULL join keys never match.
-//! When the statement has no ORDER BY, output rows are stably sorted by
-//! value so results are reproducible across runs and across plans.
+//! yield NULL while `COUNT` yields 0, `AVG` is always a float, `SUM`
+//! over text is NULL, a global aggregate returns exactly one row, NULL
+//! join keys never match, and `contains` ignores case. When the
+//! statement has no ORDER BY, output rows are stably sorted by value so
+//! results are reproducible across runs and across plans.
 
 use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::{HashMap, HashSet};
@@ -39,16 +44,13 @@ use aqks_relational::{Database, Row, Value};
 use crate::ast::AggFunc;
 use crate::batch::{ColumnBatch, ColumnData};
 use crate::exec::ExecError;
-use crate::par::{self, ExecOptions, MORSEL_SIZE, PAR_THRESHOLD};
+use crate::par::{self, PoolUse, MORSEL};
 use crate::plan::{PhysAggItem, PhysPred, PlanNode, PlanOp};
 use crate::result::ResultTable;
 
-/// Rows per batch handed between operators.
-const BATCH_SIZE: usize = 1024;
-
-/// Rows between cooperative deadline re-checks inside a parallel
-/// section (workers have no ambient thread-local governor, so they poll
-/// a captured handle mid-morsel).
+/// Rows between cooperative deadline re-checks inside an aggregate
+/// chunk (workers have no ambient thread-local governor, so they poll a
+/// captured handle; `par` checks it before every task).
 const CHECK_EVERY: usize = 512;
 
 /// Live metrics of one operator (indexed by [`PlanNode::id`]).
@@ -62,10 +64,10 @@ pub struct OpMetrics {
     pub batches: u64,
     /// Inclusive wall time (this operator plus its inputs).
     pub wall: Duration,
-    /// Worker threads used by this operator's parallel sections
-    /// (1 = fully sequential).
+    /// The widest worker pool this operator launched (1 = every step
+    /// ran on the plan's thread).
     pub threads: u32,
-    /// Inclusive wall time spent inside parallel sections.
+    /// Inclusive wall time spent inside worker pools.
     pub parallel_wall: Duration,
     /// Estimated peak resident bytes attributable to this operator: the
     /// larger of its retained columnar state (hash-join build side,
@@ -104,13 +106,14 @@ impl ExecStats {
         self.ops.iter().map(|m| m.rows_out).sum()
     }
 
-    /// The widest worker-pool any operator used (1 = the whole plan ran
-    /// sequentially).
+    /// The widest worker pool any operator launched (1 = the whole plan
+    /// ran on the calling thread: a single thread, or inputs too small
+    /// to split).
     pub fn max_threads(&self) -> u32 {
         self.ops.iter().map(|m| m.threads.max(1)).max().unwrap_or(1)
     }
 
-    /// How many operators actually executed a parallel section.
+    /// How many operators launched a worker pool.
     pub fn parallel_ops(&self) -> usize {
         self.ops.iter().filter(|m| m.threads > 1).count()
     }
@@ -151,8 +154,8 @@ trait Operator {
     fn note(&self) -> Option<String> {
         None
     }
-    /// `(threads, parallel wall)` when a parallel section ran, read at
-    /// `close` like [`Operator::note`].
+    /// `(threads, pool wall)` when a worker pool ran, read at `close`
+    /// like [`Operator::note`].
     fn parallel_info(&self) -> Option<(u32, Duration)> {
         None
     }
@@ -389,95 +392,95 @@ fn filter_pred(batch: &ColumnBatch, pred: &PhysPred, idx: &mut Vec<u32>) {
 // Operators
 // ---------------------------------------------------------------------------
 
-/// Sequential or morsel-parallel scan with scan-time predicate
-/// evaluation. At `threads == 1` (or under [`PAR_THRESHOLD`] rows) the
-/// scan stays lazy, pulling [`BATCH_SIZE`] rows per `next` so `LIMIT`
-/// can short-circuit it. The parallel path filters [`MORSEL_SIZE`]-row
-/// morsels on the worker pool at `open` and emits the surviving batches
-/// in morsel order, so output order matches the sequential path.
+/// The wave schedule of a lazily pulled input: how many morsels the next
+/// wave takes (`threads` first, doubling after each wave), and the
+/// output batches of the current wave still to emit.
+struct Waves {
+    next: usize,
+    ready: std::vec::IntoIter<ColumnBatch>,
+    /// Bytes of the largest wave output held at once.
+    peak_bytes: u64,
+}
+
+impl Waves {
+    fn new(threads: usize) -> Waves {
+        Waves { next: threads, ready: Vec::new().into_iter(), peak_bytes: 0 }
+    }
+
+    /// Size of the next wave; the one after it is twice as large.
+    fn take(&mut self) -> usize {
+        let n = self.next;
+        self.next = n.saturating_mul(2);
+        n
+    }
+
+    /// Queues a wave's task outputs (in task order) for emission.
+    fn fill(&mut self, out: Vec<Option<ColumnBatch>>) {
+        let batches: Vec<ColumnBatch> = out.into_iter().flatten().collect();
+        self.peak_bytes = self.peak_bytes.max(batches.iter().map(ColumnBatch::byte_size).sum());
+        self.ready = batches.into_iter();
+    }
+}
+
+/// Morsel-driven scan with scan-time predicate evaluation. The table is
+/// filtered in waves of [`MORSEL`]-row morsels: the first wave holds
+/// `threads` morsels and each later wave twice the previous one, so a
+/// `LIMIT` stops the scan after a short prefix while a long scan takes
+/// only a logarithmic number of task runs. Each morsel's surviving rows
+/// form one batch, emitted in morsel order.
 struct Scan<'a> {
     rows: &'a [Row],
     preds: &'a [PhysPred],
     threads: usize,
     width: usize,
+    /// First row of the next wave.
     pos: usize,
-    batches: Option<Vec<ColumnBatch>>,
-    emitted: usize,
-    par_threads: u32,
-    par_wall: Duration,
+    waves: Waves,
+    pool: PoolUse,
 }
 
 impl Operator for Scan<'_> {
     fn open(&mut self) -> Result<(), ExecError> {
         self.pos = 0;
-        self.emitted = 0;
+        self.waves = Waves::new(self.threads);
         self.width = self.rows.first().map_or(0, Vec::len);
-        if self.threads > 1 && self.rows.len() >= PAR_THRESHOLD {
-            let (rows, preds, width) = (self.rows, self.preds, self.width);
-            let n_morsels = rows.len().div_ceil(MORSEL_SIZE);
-            let gov = aqks_guard::current();
-            let t = Instant::now();
-            let out = par::run_tasks(self.threads, n_morsels, "ops.Scan", |m| {
-                let start = m * MORSEL_SIZE;
-                let end = (start + MORSEL_SIZE).min(rows.len());
-                let mut keep: Vec<&Row> = Vec::new();
-                for (off, row) in rows[start..end].iter().enumerate() {
-                    if off % CHECK_EVERY == CHECK_EVERY - 1 {
-                        if let Some(g) = &gov {
-                            g.check_deadline("ops.Scan")?;
-                        }
-                    }
-                    if preds.iter().all(|p| p.eval(row)) {
-                        keep.push(row);
-                    }
-                }
-                Ok(if keep.is_empty() {
-                    None
-                } else {
-                    Some(ColumnBatch::from_row_refs(width, &keep))
-                })
-            })?;
-            self.par_wall = t.elapsed();
-            self.par_threads = self.threads.min(n_morsels) as u32;
-            self.batches = Some(out.into_iter().flatten().collect());
-        }
         Ok(())
     }
 
     fn next(&mut self) -> Result<Option<ColumnBatch>, ExecError> {
-        if let Some(batches) = &self.batches {
-            if self.emitted >= batches.len() {
+        loop {
+            if let Some(batch) = self.waves.ready.next() {
+                return Ok(Some(batch));
+            }
+            let (rows, preds, width, start) = (self.rows, self.preds, self.width, self.pos);
+            if start >= rows.len() {
                 return Ok(None);
             }
-            self.emitted += 1;
-            return Ok(Some(batches[self.emitted - 1].clone()));
-        }
-        let mut out: Vec<&Row> = Vec::new();
-        while self.pos < self.rows.len() && out.len() < BATCH_SIZE {
-            let row = &self.rows[self.pos];
-            self.pos += 1;
-            if self.preds.iter().all(|p| p.eval(row)) {
-                out.push(row);
-            }
-        }
-        if out.is_empty() && self.pos >= self.rows.len() {
-            Ok(None)
-        } else {
-            Ok(Some(ColumnBatch::from_row_refs(self.width, &out)))
+            let n = self.waves.take().min((rows.len() - start).div_ceil(MORSEL));
+            let workers = par::workers(self.threads, rows.len());
+            let out = self.pool.run(workers, n, "ops.Scan", |m| {
+                let lo = start + m * MORSEL;
+                let keep: Vec<&Row> = rows[lo..(lo + MORSEL).min(rows.len())]
+                    .iter()
+                    .filter(|row| preds.iter().all(|p| p.eval(row)))
+                    .collect();
+                Ok((!keep.is_empty()).then(|| ColumnBatch::from_row_refs(width, &keep)))
+            })?;
+            self.pos = (start + n * MORSEL).min(rows.len());
+            self.waves.fill(out);
         }
     }
 
     fn close(&mut self) {
-        self.batches = None;
+        self.waves.ready = Vec::new().into_iter();
     }
 
     fn parallel_info(&self) -> Option<(u32, Duration)> {
-        (self.par_threads > 1).then_some((self.par_threads, self.par_wall))
+        self.pool.info()
     }
 
     fn mem_bytes(&self) -> u64 {
-        // The parallel path materializes every surviving batch at open.
-        self.batches.as_ref().map_or(0, |bs| bs.iter().map(ColumnBatch::byte_size).sum())
+        self.waves.peak_bytes
     }
 }
 
@@ -530,10 +533,14 @@ impl Operator for Filter<'_> {
     }
 }
 
-/// Hash of a join key, used only to pick a radix partition; partition
-/// assignment never affects output order, but `DefaultHasher` with
-/// fixed keys is deterministic anyway.
+/// Radix partition of a join key under `mask` (partition count - 1).
+/// A single partition needs no hash. Partition assignment never affects
+/// output order, but `DefaultHasher` with fixed keys is deterministic
+/// anyway.
 fn part_of(key: &[Value], mask: u64) -> usize {
+    if mask == 0 {
+        return 0;
+    }
     let mut h = DefaultHasher::new();
     key.hash(&mut h);
     (h.finish() & mask) as usize
@@ -557,8 +564,8 @@ fn key_at(batch: &ColumnBatch, keys: &[usize], i: usize) -> Option<Vec<Value>> {
 type KeyedIdx = Vec<(Vec<Value>, u32)>;
 
 /// Partition-indexed hash table over build-side row indices. Per-key
-/// index lists are in ascending global build order, which pins the
-/// probe-output match order to what the sequential build produces.
+/// index lists are in ascending build order, which pins the probe-output
+/// match order at every partition count.
 #[derive(Default)]
 struct JoinTable {
     partitions: Vec<HashMap<Vec<Value>, Vec<u32>>>,
@@ -567,89 +574,65 @@ struct JoinTable {
 
 impl JoinTable {
     fn get(&self, key: &[Value]) -> Option<&Vec<u32>> {
-        if self.partitions.is_empty() {
-            return None;
-        }
-        let p = if self.partitions.len() == 1 { 0 } else { part_of(key, self.mask) };
-        self.partitions[p].get(key)
+        self.partitions.get(part_of(key, self.mask))?.get(key)
     }
 }
 
-/// Builds the join table over `data`'s key columns. Sequential at
-/// `workers <= 1`; otherwise radix-partitioned in two parallel phases:
-/// morsels route `(key, index)` pairs into per-morsel partition
-/// buckets, then one task per partition folds the buckets *in morsel
-/// order* into its hash map — every per-key index list comes out in
-/// ascending global row order, exactly like the sequential build.
+/// Builds the join table over `data`'s key columns in two steps: morsels
+/// route `(key, index)` pairs into per-morsel partition buckets, then one
+/// task per partition folds the buckets *in morsel order* into its hash
+/// map, so every per-key index list comes out in ascending row order.
+/// One worker builds a single partition.
 fn build_join_table(
     data: &ColumnBatch,
     keys: &[usize],
     threads: usize,
-) -> Result<(JoinTable, u32, Duration), ExecError> {
-    let n = data.len();
-    let workers = if threads > 1 && n >= PAR_THRESHOLD { threads } else { 1 };
-    if workers <= 1 {
-        let mut map: HashMap<Vec<Value>, Vec<u32>> = HashMap::new();
-        for i in 0..n {
-            if let Some(key) = key_at(data, keys, i) {
-                map.entry(key).or_default().push(i as u32);
-            }
-        }
-        return Ok((JoinTable { partitions: vec![map], mask: 0 }, 1, Duration::ZERO));
-    }
-    /// Radix fan-out: enough partitions to keep 8-16 workers busy
-    /// without fragmenting small builds.
+    pool: &mut PoolUse,
+) -> Result<JoinTable, ExecError> {
+    /// Radix fan-out with several workers: enough partitions to keep
+    /// 8-16 workers busy without fragmenting small builds.
     const PARTITIONS: usize = 32;
-    let mask = (PARTITIONS - 1) as u64;
-    let gov = aqks_guard::current();
-    let t = Instant::now();
-    let n_morsels = n.div_ceil(MORSEL_SIZE);
-    let morsels = par::run_tasks(workers, n_morsels, "ops.HashJoin", |mi| {
-        let start = mi * MORSEL_SIZE;
-        let end = (start + MORSEL_SIZE).min(n);
-        let mut buckets: Vec<KeyedIdx> = (0..PARTITIONS).map(|_| Vec::new()).collect();
-        for i in start..end {
-            if (i - start) % CHECK_EVERY == CHECK_EVERY - 1 {
-                if let Some(g) = &gov {
-                    g.check_deadline("ops.HashJoin")?;
-                }
-            }
+    let n = data.len();
+    let workers = par::workers(threads, n);
+    let parts = if workers > 1 { PARTITIONS } else { 1 };
+    let mask = (parts - 1) as u64;
+    let morsels = pool.run(workers, n.div_ceil(MORSEL), "ops.HashJoin", |m| {
+        let mut buckets: Vec<KeyedIdx> = (0..parts).map(|_| Vec::new()).collect();
+        for i in m * MORSEL..((m + 1) * MORSEL).min(n) {
             if let Some(key) = key_at(data, keys, i) {
-                let p = part_of(&key, mask);
-                buckets[p].push((key, i as u32));
+                buckets[part_of(&key, mask)].push((key, i as u32));
             }
         }
         Ok(buckets)
     })?;
-    // Route each morsel's buckets to its partition slot (cheap Vec
-    // moves), preserving morsel order per partition.
-    let slots: Vec<Mutex<Vec<KeyedIdx>>> =
-        (0..PARTITIONS).map(|_| Mutex::new(Vec::with_capacity(morsels.len()))).collect();
-    for mut morsel in morsels {
-        for (p, bucket) in morsel.drain(..).enumerate() {
-            par::relock(&slots[p]).push(bucket);
+    // Each partition's buckets in morsel order (cheap Vec moves).
+    let mut slots: Vec<Vec<KeyedIdx>> =
+        (0..parts).map(|_| Vec::with_capacity(morsels.len())).collect();
+    for morsel in morsels {
+        for (slot, bucket) in slots.iter_mut().zip(morsel) {
+            slot.push(bucket);
         }
     }
-    let partitions = par::run_tasks(workers, PARTITIONS, "ops.HashJoin", |p| {
-        let chunks = std::mem::take(&mut *par::relock(&slots[p]));
+    let slots: Vec<Mutex<Vec<KeyedIdx>>> = slots.into_iter().map(Mutex::new).collect();
+    let partitions = pool.run(workers, parts, "ops.HashJoin", |p| {
         let mut map: HashMap<Vec<Value>, Vec<u32>> = HashMap::new();
-        for chunk in chunks {
-            for (key, i) in chunk {
+        for bucket in std::mem::take(&mut *par::relock(&slots[p])) {
+            for (key, i) in bucket {
                 map.entry(key).or_default().push(i);
             }
         }
         Ok(map)
     })?;
-    Ok((JoinTable { partitions, mask }, workers.min(n_morsels) as u32, t.elapsed()))
+    Ok(JoinTable { partitions, mask })
 }
 
 /// Multi-key hash equi-join. The build side (chosen by the planner from
-/// cardinality estimates) is drained and indexed at `open` (radix-
-/// partitioned in parallel when threads allow); the probe side streams
-/// at `threads == 1` and is probed batch-parallel otherwise. Output
-/// columns are always left then right, whichever side built, and match
-/// order within a probe row follows global build order at every thread
-/// count. NULL keys never match on either side.
+/// cardinality estimates) is drained and indexed at `open`; the probe
+/// side is pulled in waves of batches (`threads` batches first, doubling
+/// after each wave) and every batch of a wave is probed as one task.
+/// Output columns are always left then right, whichever side built, and
+/// outputs follow probe order, with each probe row's matches in build
+/// order. NULL keys never match on either side.
 struct HashJoin<'a> {
     left: Metered<'a>,
     right: Metered<'a>,
@@ -659,12 +642,12 @@ struct HashJoin<'a> {
     threads: usize,
     build_data: Option<ColumnBatch>,
     table: JoinTable,
-    out: Option<Vec<ColumnBatch>>,
-    emitted: usize,
+    /// Waves of probe batches.
+    waves: Waves,
+    probe_done: bool,
     build_rows: u64,
     probe_rows: u64,
-    par_threads: u32,
-    par_wall: Duration,
+    pool: PoolUse,
 }
 
 impl Operator for HashJoin<'_> {
@@ -672,6 +655,8 @@ impl Operator for HashJoin<'_> {
         aqks_guard::failpoint!("join.build");
         self.left.open()?;
         self.right.open()?;
+        self.waves = Waves::new(self.threads);
+        self.probe_done = false;
         let (build, keys) = if self.build_left {
             (&mut self.left, self.left_keys)
         } else {
@@ -691,116 +676,75 @@ impl Operator for HashJoin<'_> {
         }
         if !batches.is_empty() {
             let data = ColumnBatch::concat(batches[0].width(), &batches);
-            let (table, threads, wall) = build_join_table(&data, keys, self.threads)?;
-            self.table = table;
-            self.par_threads = threads;
-            self.par_wall = wall;
+            self.table = build_join_table(&data, keys, self.threads, &mut self.pool)?;
             self.build_data = Some(data);
         }
         Ok(())
     }
 
     fn next(&mut self) -> Result<Option<ColumnBatch>, ExecError> {
-        let (probe, keys) = if self.build_left {
-            (&mut self.right, self.right_keys)
-        } else {
-            (&mut self.left, self.left_keys)
-        };
-        if self.threads > 1 {
-            // Parallel mode: drain the probe side once, probe every
-            // batch on the pool, emit outputs in probe-batch order.
-            if self.out.is_none() {
-                let mut probe_batches = Vec::new();
-                while let Some(batch) = probe.next()? {
-                    self.probe_rows += batch.len() as u64;
-                    if !batch.is_empty() {
-                        probe_batches.push(batch);
-                    }
-                }
-                let produced = if let Some(data) = &self.build_data {
-                    let (table, build_left) = (&self.table, self.build_left);
-                    let gov = aqks_guard::current();
-                    let t = Instant::now();
-                    let res =
-                        par::run_tasks(self.threads, probe_batches.len(), "ops.HashJoin", |bi| {
-                            let batch = &probe_batches[bi];
-                            let mut bidx: Vec<u32> = Vec::new();
-                            let mut pidx: Vec<u32> = Vec::new();
-                            for i in 0..batch.len() {
-                                if i % CHECK_EVERY == CHECK_EVERY - 1 {
-                                    if let Some(g) = &gov {
-                                        g.check_deadline("ops.HashJoin")?;
-                                    }
-                                }
-                                let Some(key) = key_at(batch, keys, i) else { continue };
-                                if let Some(matches) = table.get(&key) {
-                                    for &m in matches {
-                                        bidx.push(m);
-                                        pidx.push(i as u32);
-                                    }
-                                }
-                            }
-                            if bidx.is_empty() {
-                                return Ok(None);
-                            }
-                            let bside = data.gather(&bidx);
-                            let pside = batch.gather(&pidx);
-                            Ok(Some(if build_left {
-                                ColumnBatch::hcat(&bside, &pside)
-                            } else {
-                                ColumnBatch::hcat(&pside, &bside)
-                            }))
-                        })?;
-                    self.par_wall += t.elapsed();
-                    self.par_threads =
-                        self.par_threads.max(self.threads.min(probe_batches.len()) as u32);
-                    res.into_iter().flatten().collect()
-                } else {
-                    Vec::new()
-                };
-                self.out = Some(produced);
-                self.emitted = 0;
+        loop {
+            if let Some(batch) = self.waves.ready.next() {
+                return Ok(Some(batch));
             }
-            let out = self.out.as_ref().map_or(&[][..], Vec::as_slice);
-            if self.emitted >= out.len() {
+            if self.probe_done {
                 return Ok(None);
             }
-            self.emitted += 1;
-            return Ok(Some(out[self.emitted - 1].clone()));
-        }
-        // Sequential mode: stream the probe side.
-        while let Some(batch) = probe.next()? {
-            self.probe_rows += batch.len() as u64;
-            let mut bidx: Vec<u32> = Vec::new();
-            let mut pidx: Vec<u32> = Vec::new();
-            for i in 0..batch.len() {
-                let Some(key) = key_at(&batch, keys, i) else { continue };
-                if let Some(matches) = self.table.get(&key) {
-                    for &m in matches {
-                        bidx.push(m);
-                        pidx.push(i as u32);
-                    }
+            let (probe, keys) = if self.build_left {
+                (&mut self.right, self.right_keys)
+            } else {
+                (&mut self.left, self.left_keys)
+            };
+            let (mut wave, mut rows) = (Vec::new(), 0);
+            let size = self.waves.take();
+            while wave.len() < size {
+                let Some(batch) = probe.next()? else {
+                    self.probe_done = true;
+                    break;
+                };
+                self.probe_rows += batch.len() as u64;
+                rows += batch.len();
+                if !batch.is_empty() {
+                    wave.push(batch);
                 }
             }
-            if bidx.is_empty() {
-                continue;
-            }
+            // An empty build side matches nothing; the probe side is
+            // still drained, so its row counts never depend on the
+            // build side's.
             let Some(data) = &self.build_data else { continue };
-            let bside = data.gather(&bidx);
-            let pside = batch.gather(&pidx);
-            return Ok(Some(if self.build_left {
-                ColumnBatch::hcat(&bside, &pside)
-            } else {
-                ColumnBatch::hcat(&pside, &bside)
-            }));
+            let (table, build_left) = (&self.table, self.build_left);
+            let workers = par::workers(self.threads, rows);
+            let out = self.pool.run(workers, wave.len(), "ops.HashJoin", |bi| {
+                let batch = &wave[bi];
+                let mut bidx: Vec<u32> = Vec::new();
+                let mut pidx: Vec<u32> = Vec::new();
+                for i in 0..batch.len() {
+                    let Some(key) = key_at(batch, keys, i) else { continue };
+                    if let Some(matches) = table.get(&key) {
+                        for &m in matches {
+                            bidx.push(m);
+                            pidx.push(i as u32);
+                        }
+                    }
+                }
+                if bidx.is_empty() {
+                    return Ok(None);
+                }
+                let (bside, pside) = (data.gather(&bidx), batch.gather(&pidx));
+                Ok(Some(if build_left {
+                    ColumnBatch::hcat(&bside, &pside)
+                } else {
+                    ColumnBatch::hcat(&pside, &bside)
+                }))
+            })?;
+            self.waves.fill(out);
         }
-        Ok(None)
     }
 
     fn close(&mut self) {
         self.table = JoinTable::default();
         self.build_data = None;
-        self.out = None;
+        self.waves.ready = Vec::new().into_iter();
         self.left.close();
         self.right.close();
     }
@@ -810,15 +754,13 @@ impl Operator for HashJoin<'_> {
     }
 
     fn parallel_info(&self) -> Option<(u32, Duration)> {
-        (self.par_threads > 1).then_some((self.par_threads, self.par_wall))
+        self.pool.info()
     }
 
     fn mem_bytes(&self) -> u64 {
-        // Build side plus (in parallel mode) the materialized probe
-        // output; the hash table's key index is not columnar and is
-        // not counted.
-        self.build_data.as_ref().map_or(0, ColumnBatch::byte_size)
-            + self.out.as_ref().map_or(0, |o| o.iter().map(ColumnBatch::byte_size).sum())
+        // Build side plus the largest output wave; the hash table's key
+        // index is not columnar and is not counted.
+        self.build_data.as_ref().map_or(0, ColumnBatch::byte_size) + self.waves.peak_bytes
     }
 }
 
@@ -964,8 +906,8 @@ fn merge_state(a: &mut AggState, b: AggState) {
     match (a, b) {
         (AggState::Count(x), AggState::Count(y)) => *x += y,
         (AggState::Min(x), AggState::Min(Some(vy))) => match x {
-            // The earlier chunk's minimum wins ties, matching the
-            // sequential pass's first-among-equals behaviour.
+            // The earlier chunk's minimum wins ties, matching a single
+            // chunk's first-among-equals behaviour.
             Some(vx) if vy >= *vx => {}
             _ => *x = Some(vy),
         },
@@ -1000,6 +942,24 @@ struct Partial {
 impl Partial {
     fn new() -> Partial {
         Partial { order: Vec::new(), groups: HashMap::new() }
+    }
+
+    /// Merges the partial of a later chunk into this one.
+    fn absorb(&mut self, mut later: Partial) {
+        for key in later.order {
+            let Some(states) = later.groups.remove(&key) else { continue };
+            match self.groups.entry(key) {
+                Entry::Occupied(mut e) => {
+                    for (a, b) in e.get_mut().iter_mut().zip(states) {
+                        merge_state(a, b);
+                    }
+                }
+                Entry::Vacant(e) => {
+                    self.order.push(e.key().clone());
+                    e.insert(states);
+                }
+            }
+        }
     }
 }
 
@@ -1038,8 +998,8 @@ fn accumulate_batch(
 }
 
 /// Splits `batches` into up to `workers` contiguous chunks balanced by
-/// row count. Contiguity is what makes the parallel merge trivial to
-/// keep deterministic: chunk order *is* input row order.
+/// row count. Contiguity is what makes the merge trivial to keep
+/// deterministic: chunk order *is* input row order.
 fn chunk_ranges(batches: &[ColumnBatch], workers: usize) -> Vec<(usize, usize)> {
     let total: usize = batches.iter().map(ColumnBatch::len).sum();
     let target = total.div_ceil(workers).max(1);
@@ -1059,11 +1019,11 @@ fn chunk_ranges(batches: &[ColumnBatch], workers: usize) -> Vec<(usize, usize)> 
     out
 }
 
-/// Grouped/global aggregation (pipeline breaker). Two-phase when
-/// parallel: contiguous input chunks fold into per-chunk [`Partial`]s
-/// on the pool, then the partials merge *in chunk order* — group output
-/// order (first appearance) and `Vals` row order both come out equal to
-/// the sequential fold's, at any thread count.
+/// Grouped/global aggregation (pipeline breaker), in two phases:
+/// contiguous input chunks (one per worker) fold into per-chunk
+/// [`Partial`]s, then the partials merge *in chunk order*, the first one
+/// by a move. Group output order (first appearance) and `Vals` row order
+/// are therefore the same at any thread count.
 struct HashAggregate<'a> {
     child: Metered<'a>,
     group: &'a [usize],
@@ -1074,8 +1034,7 @@ struct HashAggregate<'a> {
     in_rows: u64,
     in_bytes: u64,
     groups_out: u64,
-    par_threads: u32,
-    par_wall: Duration,
+    pool: PoolUse,
 }
 
 impl Operator for HashAggregate<'_> {
@@ -1093,51 +1052,26 @@ impl Operator for HashAggregate<'_> {
             }
         }
         aqks_guard::failpoint!("agg.finalize");
-        let total: usize = batches.iter().map(ColumnBatch::len).sum();
-        let workers = if self.threads > 1 && total >= PAR_THRESHOLD { self.threads } else { 1 };
         let (group, items) = (self.group, self.items);
-        let (mut order, mut groups) = if workers <= 1 {
+        let workers = par::workers(self.threads, self.in_rows as usize);
+        let chunks = chunk_ranges(&batches, workers);
+        let gov = aqks_guard::current();
+        let partials = self.pool.run(workers, chunks.len(), "ops.HashAggregate", |ci| {
+            let (s, e) = chunks[ci];
             let mut p = Partial::new();
-            for b in &batches {
-                accumulate_batch(&mut p, b, group, items, None)?;
+            for b in &batches[s..e] {
+                accumulate_batch(&mut p, b, group, items, gov.as_ref())?;
             }
-            (p.order, p.groups)
-        } else {
-            let chunks = chunk_ranges(&batches, workers);
-            let gov = aqks_guard::current();
-            let t = Instant::now();
-            let partials = par::run_tasks(workers, chunks.len(), "ops.HashAggregate", |ci| {
-                let (s, e) = chunks[ci];
-                let mut p = Partial::new();
-                for b in &batches[s..e] {
-                    accumulate_batch(&mut p, b, group, items, gov.as_ref())?;
-                }
-                Ok(p)
-            })?;
-            self.par_wall = t.elapsed();
-            self.par_threads = workers.min(chunks.len()) as u32;
-            let mut order: Vec<Vec<Value>> = Vec::new();
-            let mut groups: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
-            for mut p in partials {
-                for key in p.order {
-                    let Some(states) = p.groups.remove(&key) else { continue };
-                    match groups.entry(key) {
-                        Entry::Occupied(mut e) => {
-                            for (a, b) in e.get_mut().iter_mut().zip(states) {
-                                merge_state(a, b);
-                            }
-                        }
-                        Entry::Vacant(e) => {
-                            order.push(e.key().clone());
-                            e.insert(states);
-                        }
-                    }
-                }
-            }
-            (order, groups)
-        };
+            Ok(p)
+        })?;
+        let mut partials = partials.into_iter();
+        let mut merged = partials.next().unwrap_or_else(Partial::new);
+        for p in partials {
+            merged.absorb(p);
+        }
+        let Partial { mut order, mut groups } = merged;
         // A global aggregate over an empty input still yields one row.
-        if order.is_empty() && self.group.is_empty() {
+        if order.is_empty() && group.is_empty() {
             order.push(Vec::new());
             groups.insert(Vec::new(), new_states(items));
         }
@@ -1158,7 +1092,7 @@ impl Operator for HashAggregate<'_> {
         if self.emitted >= self.output.len() {
             return Ok(None);
         }
-        let end = (self.emitted + BATCH_SIZE).min(self.output.len());
+        let end = (self.emitted + MORSEL).min(self.output.len());
         let batch = ColumnBatch::from_rows(self.items.len(), &self.output[self.emitted..end]);
         self.emitted = end;
         Ok(Some(batch))
@@ -1174,7 +1108,7 @@ impl Operator for HashAggregate<'_> {
     }
 
     fn parallel_info(&self) -> Option<(u32, Duration)> {
-        (self.par_threads > 1).then_some((self.par_threads, self.par_wall))
+        self.pool.info()
     }
 
     fn mem_bytes(&self) -> u64 {
@@ -1285,7 +1219,7 @@ impl Operator for Sort<'_> {
         if self.emitted >= self.buffer.len() {
             return Ok(None);
         }
-        let end = (self.emitted + BATCH_SIZE).min(self.buffer.len());
+        let end = (self.emitted + MORSEL).min(self.buffer.len());
         let batch = ColumnBatch::from_rows(self.width, &self.buffer[self.emitted..end]);
         self.emitted = end;
         Ok(Some(batch))
@@ -1343,13 +1277,39 @@ impl Operator for Limit<'_> {
 /// is `Arc`-shared so every consumer replays the same storage.
 pub type SharedRows = HashMap<usize, Arc<Vec<ColumnBatch>>>;
 
-// Everything the parallel executor shares across threads (and the
-// future `aqks-server` shares across request handlers) must be
-// `Send + Sync`; enforced at compile time so an `Rc`/`RefCell` can't
-// creep back in.
+/// Everything a plan run takes besides the plan and the database.
+#[derive(Debug, Clone)]
+pub struct ExecCtx {
+    /// Threads the heavy operators may use (at least 1). An operator
+    /// splits an input across them only when it reaches the parallel
+    /// threshold (4096 rows); the answer is the same at every count,
+    /// only the wall time changes.
+    pub threads: usize,
+    /// Plan nodes whose ids appear here are replaced by a replay of the
+    /// supplied batches; the subtree below them never builds or runs.
+    pub shared: SharedRows,
+}
+
+impl Default for ExecCtx {
+    fn default() -> Self {
+        ExecCtx::with_threads(1)
+    }
+}
+
+impl ExecCtx {
+    /// A context running `n` threads (clamped to at least 1) with no
+    /// shared subtrees.
+    pub fn with_threads(n: usize) -> ExecCtx {
+        ExecCtx { threads: n.max(1), shared: SharedRows::new() }
+    }
+}
+
+// Everything the executor shares across worker threads, and everything
+// `aqks-server` shares across request handlers, must be `Send + Sync`;
+// enforced at compile time so an `Rc`/`RefCell` can't creep back in.
 const fn assert_send_sync<T: Send + Sync>() {}
 const _: () = {
-    assert_send_sync::<SharedRows>();
+    assert_send_sync::<ExecCtx>();
     assert_send_sync::<StatsCell>();
     assert_send_sync::<JoinTable>();
     assert_send_sync::<Partial>();
@@ -1362,10 +1322,9 @@ fn build<'a>(
     db: &'a Database,
     stats: &StatsCell,
     governed: bool,
-    shared: &SharedRows,
-    opts: ExecOptions,
+    ctx: &ExecCtx,
 ) -> Result<Metered<'a>, ExecError> {
-    if let Some(batches) = shared.get(&node.id) {
+    if let Some(batches) = ctx.shared.get(&node.id) {
         let rows = batches.iter().map(|b| b.len() as u64).sum();
         let inner: Box<dyn Operator + 'a> =
             Box::new(CachedRows { batches: Arc::clone(batches), rows, pos: 0 });
@@ -1373,6 +1332,8 @@ fn build<'a>(
             if governed { Box::new(Guarded { site: "ops.Cached", inner }) } else { inner };
         return Ok(Metered { id: node.id, stats: stats.clone(), inner });
     }
+    let child = |i: usize| build(&node.children[i], db, stats, governed, ctx);
+    let threads = ctx.threads.max(1);
     let inner: Box<dyn Operator + 'a> = match &node.op {
         PlanOp::Scan { relation, pushed, .. } => {
             let table =
@@ -1380,77 +1341,58 @@ fn build<'a>(
             Box::new(Scan {
                 rows: table.rows(),
                 preds: pushed,
-                threads: opts.threads,
+                threads,
                 width: 0,
                 pos: 0,
-                batches: None,
-                emitted: 0,
-                par_threads: 0,
-                par_wall: Duration::ZERO,
+                waves: Waves::new(threads),
+                pool: PoolUse::default(),
             })
         }
-        PlanOp::DerivedTable { .. } => Box::new(Passthrough {
-            child: build(&node.children[0], db, stats, governed, shared, opts)?,
-        }),
-        PlanOp::Filter { preds } => Box::new(Filter {
-            child: build(&node.children[0], db, stats, governed, shared, opts)?,
-            preds,
-        }),
+        PlanOp::DerivedTable { .. } => Box::new(Passthrough { child: child(0)? }),
+        PlanOp::Filter { preds } => Box::new(Filter { child: child(0)?, preds }),
         PlanOp::HashJoin { left_keys, right_keys, build_left } => Box::new(HashJoin {
-            left: build(&node.children[0], db, stats, governed, shared, opts)?,
-            right: build(&node.children[1], db, stats, governed, shared, opts)?,
+            left: child(0)?,
+            right: child(1)?,
             left_keys,
             right_keys,
             build_left: *build_left,
-            threads: opts.threads,
+            threads,
             build_data: None,
             table: JoinTable::default(),
-            out: None,
-            emitted: 0,
+            waves: Waves::new(threads),
+            probe_done: false,
             build_rows: 0,
             probe_rows: 0,
-            par_threads: 0,
-            par_wall: Duration::ZERO,
+            pool: PoolUse::default(),
         }),
-        PlanOp::CrossJoin => Box::new(CrossJoin {
-            left: build(&node.children[0], db, stats, governed, shared, opts)?,
-            right: build(&node.children[1], db, stats, governed, shared, opts)?,
-            buffer: None,
-        }),
+        PlanOp::CrossJoin => {
+            Box::new(CrossJoin { left: child(0)?, right: child(1)?, buffer: None })
+        }
         PlanOp::HashAggregate { group, items, .. } => Box::new(HashAggregate {
-            child: build(&node.children[0], db, stats, governed, shared, opts)?,
+            child: child(0)?,
             group,
             items,
-            threads: opts.threads,
+            threads,
             output: Vec::new(),
             emitted: 0,
             in_rows: 0,
             in_bytes: 0,
             groups_out: 0,
-            par_threads: 0,
-            par_wall: Duration::ZERO,
+            pool: PoolUse::default(),
         }),
-        PlanOp::Project { cols, .. } => Box::new(Project {
-            child: build(&node.children[0], db, stats, governed, shared, opts)?,
-            cols,
-        }),
-        PlanOp::Distinct => Box::new(Distinct {
-            child: build(&node.children[0], db, stats, governed, shared, opts)?,
-            seen: HashSet::new(),
-            seen_bytes: 0,
-        }),
+        PlanOp::Project { cols, .. } => Box::new(Project { child: child(0)?, cols }),
+        PlanOp::Distinct => {
+            Box::new(Distinct { child: child(0)?, seen: HashSet::new(), seen_bytes: 0 })
+        }
         PlanOp::Sort { keys } => Box::new(Sort {
-            child: build(&node.children[0], db, stats, governed, shared, opts)?,
+            child: child(0)?,
             keys,
             width: 0,
             buffer: Vec::new(),
             in_bytes: 0,
             emitted: 0,
         }),
-        PlanOp::Limit { n } => Box::new(Limit {
-            child: build(&node.children[0], db, stats, governed, shared, opts)?,
-            remaining: *n,
-        }),
+        PlanOp::Limit { n } => Box::new(Limit { child: child(0)?, remaining: *n }),
     };
     // Budget enforcement sits inside the metering shim so governed wall
     // time is attributed to the operator it bounds.
@@ -1461,36 +1403,14 @@ fn build<'a>(
 
 /// Executes a physical plan against `db`, returning the result table and
 /// the per-operator metrics. When the plan carries no ORDER BY the rows
-/// are stably sorted by value, so results are reproducible across runs
-/// and plan changes.
-pub fn run_plan(plan: &PlanNode, db: &Database) -> Result<(ResultTable, ExecStats), ExecError> {
-    run_plan_opts(plan, db, &SharedRows::new(), ExecOptions::default())
-}
-
-/// [`run_plan`] with shared-subplan substitution: any node whose id
-/// appears in `shared` is executed as a cached-batch replay instead of
-/// its subtree (the subtree below it never builds or runs). The
-/// `aqks-equiv` shared-subplan DAG materializes each shared subtree
-/// once via [`materialize_batches`] and feeds the batches to every
-/// consumer through this entry point.
-pub fn run_plan_with_shared(
+/// are stably sorted by value, so results are reproducible across runs,
+/// thread counts and plan changes.
+pub fn run(
     plan: &PlanNode,
     db: &Database,
-    shared: &SharedRows,
+    ctx: &ExecCtx,
 ) -> Result<(ResultTable, ExecStats), ExecError> {
-    run_plan_opts(plan, db, shared, ExecOptions::default())
-}
-
-/// The fully-parameterized plan runner: shared-subplan substitution
-/// plus execution options (worker thread count). Results are identical
-/// at every `opts.threads` value; only the wall time changes.
-pub fn run_plan_opts(
-    plan: &PlanNode,
-    db: &Database,
-    shared: &SharedRows,
-    opts: ExecOptions,
-) -> Result<(ResultTable, ExecStats), ExecError> {
-    let (batches, stats) = pull_batches(plan, db, shared, opts)?;
+    let (batches, stats) = materialize(plan, db, ctx)?;
     let mut rows: Vec<Row> = Vec::new();
     for b in &batches {
         rows.extend(b.to_rows());
@@ -1503,60 +1423,21 @@ pub fn run_plan_opts(
     Ok((table, stats))
 }
 
-/// Executes a plan and returns its raw output rows, *without* the
-/// stabilizing sort or column naming of [`run_plan`] — kept for callers
-/// that want row-major output; shared-subtree materialization itself
-/// uses [`materialize_batches`] to stay columnar.
-pub fn materialize_plan(
-    plan: &PlanNode,
-    db: &Database,
-) -> Result<(Vec<Row>, ExecStats), ExecError> {
-    let (batches, stats) = pull_batches(plan, db, &SharedRows::new(), ExecOptions::default())?;
-    let mut rows = Vec::new();
-    for b in &batches {
-        rows.extend(b.to_rows());
-    }
-    Ok((rows, stats))
-}
-
 /// Executes a plan and returns its raw output *batches* in operator
-/// output order — the materialization primitive for shared subtrees,
-/// whose consumers replay the columnar storage without a row detour.
-pub fn materialize_batches(
+/// output order, without the stabilizing sort or column naming of
+/// [`run`] — the materialization primitive for shared subtrees, whose
+/// consumers replay the columnar storage without a row detour.
+pub fn materialize(
     plan: &PlanNode,
     db: &Database,
-    opts: ExecOptions,
-) -> Result<(Vec<ColumnBatch>, ExecStats), ExecError> {
-    pull_batches(plan, db, &SharedRows::new(), opts)
-}
-
-/// [`materialize_batches`] with shared-subtree replay: plan nodes whose
-/// ids appear in `shared` are replaced by cached-row replays of the
-/// supplied batches. Because batches are `Arc`-shared column sets, a
-/// replay costs reference-count bumps per batch — the per-consumer work
-/// is independent of the cached row count.
-pub fn materialize_shared(
-    plan: &PlanNode,
-    db: &Database,
-    shared: &SharedRows,
-    opts: ExecOptions,
-) -> Result<(Vec<ColumnBatch>, ExecStats), ExecError> {
-    pull_batches(plan, db, shared, opts)
-}
-
-/// Builds, opens and drains a plan, collecting all batches and metrics.
-fn pull_batches(
-    plan: &PlanNode,
-    db: &Database,
-    shared: &SharedRows,
-    opts: ExecOptions,
+    ctx: &ExecCtx,
 ) -> Result<(Vec<ColumnBatch>, ExecStats), ExecError> {
     let t0 = Instant::now();
     let stats: StatsCell = Arc::new(Mutex::new(vec![OpMetrics::default(); plan.max_id() + 1]));
     // One ambient probe per plan: ungoverned runs skip the Guarded shims
     // entirely, keeping the default path free.
     let governed = aqks_guard::current().is_some();
-    let mut root = build(plan, db, &stats, governed, shared, opts)?;
+    let mut root = build(plan, db, &stats, governed, ctx)?;
     root.open()?;
     let mut batches: Vec<ColumnBatch> = Vec::new();
     while let Some(batch) = root.next()? {
@@ -1634,8 +1515,8 @@ fn op_name(op: &PlanOp) -> &'static str {
 /// an icicle graph and per-span self time is meaningful. Spans start at
 /// the plan run's `t0`: operators execute interleaved, so only the
 /// durations — not the offsets — are physical. A `threads` counter is
-/// added only when the operator actually went parallel, keeping
-/// sequential traces byte-identical to the pre-parallel executor.
+/// added only when the operator launched a worker pool, so traces of
+/// plans that ran on one thread carry no thread counts.
 fn record_op_spans(
     rec: &aqks_obs::Recorder,
     node: &PlanNode,
@@ -1698,7 +1579,7 @@ pub(crate) fn aggregate<'a, I: Iterator<Item = &'a Value>>(
 mod tests {
     use super::*;
     use crate::ast::{ColumnRef, Predicate, SelectItem, SelectStatement, TableExpr};
-    use crate::exec::{execute, execute_with_stats};
+    use crate::exec::execute;
     use crate::plan::plan;
     use aqks_relational::{AttrType, RelationSchema};
 
@@ -1751,14 +1632,14 @@ mod tests {
             ],
             ..Default::default()
         };
-        let (t, stats) = execute_with_stats(&stmt, &db).unwrap();
+        let p = plan(&stmt, &db).unwrap();
+        let (t, stats) = run(&p, &db, &ExecCtx::default()).unwrap();
         // Only (k1, 1) matches, twice on the right.
         assert_eq!(t.len(), 2, "{t}");
         for row in &t.rows {
             assert_eq!(row[0], Value::str("l1"));
         }
         // Both join keys were consumed by one multi-key hash join.
-        let p = plan(&stmt, &db).unwrap();
         let mut joins = 0;
         p.visit(&mut |n| {
             if let crate::plan::PlanOp::HashJoin { left_keys, .. } = &n.op {
@@ -1797,7 +1678,7 @@ mod tests {
             ..Default::default()
         };
         let p = plan(&stmt, &db).unwrap();
-        let (t, stats) = run_plan(&p, &db).unwrap();
+        let (t, stats) = run(&p, &db, &ExecCtx::default()).unwrap();
         assert_eq!(t.len(), 7);
         p.visit(&mut |n| {
             let expect: u64 = n.children.iter().map(|c| stats.ops[c.id].rows_out).sum();
@@ -1808,12 +1689,14 @@ mod tests {
         let scan = p.children[0].id;
         assert!(stats.ops[scan].batches >= 3, "batched scan: {}", stats.ops[scan].batches);
         assert_eq!(stats.ops[scan].rows_out, 2500);
-        // A sequential run reports threads=1 on every operator.
+        // A one-thread run reports threads=1 on every operator.
         assert_eq!(stats.max_threads(), 1);
         assert_eq!(stats.parallel_ops(), 0);
     }
 
-    /// LIMIT stops pulling batches from its input once satisfied.
+    /// LIMIT stops pulling batches from its input once satisfied: the
+    /// scan's first wave is one morsel per thread, and LIMIT 5 never
+    /// asks for a second.
     #[test]
     fn limit_short_circuits_the_scan() {
         let mut db = Database::new("t");
@@ -1830,15 +1713,20 @@ mod tests {
             ..Default::default()
         };
         let p = plan(&stmt, &db).unwrap();
-        let (t, stats) = run_plan(&p, &db).unwrap();
-        assert_eq!(t.len(), 5);
-        let mut scan_out = 0;
-        p.visit(&mut |n| {
-            if matches!(n.op, crate::plan::PlanOp::Scan { .. }) {
-                scan_out = stats.ops[n.id].rows_out;
-            }
-        });
-        assert!(scan_out <= 1024, "scan stopped after one batch, saw {scan_out}");
+        for threads in [1, 2, 4] {
+            let (t, stats) = run(&p, &db, &ExecCtx::with_threads(threads)).unwrap();
+            assert_eq!(t.len(), 5);
+            let mut scan_out = 0;
+            p.visit(&mut |n| {
+                if matches!(n.op, crate::plan::PlanOp::Scan { .. }) {
+                    scan_out = stats.ops[n.id].rows_out;
+                }
+            });
+            assert!(
+                scan_out <= (threads * MORSEL) as u64,
+                "threads={threads}: scan stopped after its first wave, saw {scan_out}"
+            );
+        }
     }
 
     /// Equal results and stable order from repeated runs (the
@@ -1898,19 +1786,16 @@ mod tests {
         (db, stmt)
     }
 
-    /// The parallel paths (morsel scan, partitioned join build,
+    /// Worker pools (morsel scan, partitioned join build, batch probe,
     /// two-phase aggregate) produce byte-identical stabilized results
-    /// at every thread count, and the stats record where parallelism
-    /// applied.
+    /// at every thread count, and the stats record where pools ran.
     #[test]
     fn parallel_execution_matches_sequential() {
         let (db, stmt) = join_fixture(6000);
         let p = plan(&stmt, &db).unwrap();
-        let (reference, _) = run_plan(&p, &db).unwrap();
+        let (reference, _) = run(&p, &db, &ExecCtx::default()).unwrap();
         for threads in [2, 4, 8] {
-            let (t, stats) =
-                run_plan_opts(&p, &db, &SharedRows::new(), ExecOptions::with_threads(threads))
-                    .unwrap();
+            let (t, stats) = run(&p, &db, &ExecCtx::with_threads(threads)).unwrap();
             assert_eq!(t.rows, reference.rows, "threads={threads}");
             assert!(stats.max_threads() > 1, "parallel sections ran at threads={threads}");
             assert!(stats.parallel_ops() >= 1);
@@ -1919,7 +1804,7 @@ mod tests {
 
     /// The two-phase aggregate preserves group order, float summation
     /// order, DISTINCT handling and first-row group columns at every
-    /// thread count.
+    /// thread count (one chunk at one thread, several above).
     #[test]
     fn parallel_aggregate_matches_sequential() {
         let mut db = Database::new("t");
@@ -1969,11 +1854,9 @@ mod tests {
             ..Default::default()
         };
         let p = plan(&stmt, &db).unwrap();
-        let (reference, _) = run_plan(&p, &db).unwrap();
+        let (reference, _) = run(&p, &db, &ExecCtx::default()).unwrap();
         for threads in [2, 3, 4, 8] {
-            let (t, _) =
-                run_plan_opts(&p, &db, &SharedRows::new(), ExecOptions::with_threads(threads))
-                    .unwrap();
+            let (t, _) = run(&p, &db, &ExecCtx::with_threads(threads)).unwrap();
             assert_eq!(t.rows, reference.rows, "threads={threads}");
         }
     }
@@ -2006,8 +1889,7 @@ mod tests {
         let p = plan(&stmt, &db).unwrap();
         let gov = aqks_guard::Governor::new(&aqks_guard::Budget::unlimited().with_max_rows(60));
         let _g = aqks_guard::install(&gov);
-        let err =
-            run_plan_opts(&p, &db, &SharedRows::new(), ExecOptions::with_threads(4)).unwrap_err();
+        let err = run(&p, &db, &ExecCtx::with_threads(4)).unwrap_err();
         match err {
             ExecError::Budget(t) => {
                 assert_eq!(t.kind, aqks_guard::BudgetKind::Rows);
@@ -2047,8 +1929,7 @@ mod tests {
             &aqks_guard::Budget::unlimited().with_timeout(Duration::ZERO),
         );
         let _g = aqks_guard::install(&gov);
-        let err =
-            run_plan_opts(&p, &db, &SharedRows::new(), ExecOptions::with_threads(4)).unwrap_err();
+        let err = run(&p, &db, &ExecCtx::with_threads(4)).unwrap_err();
         match err {
             ExecError::Budget(t) => {
                 assert_eq!(t.kind, aqks_guard::BudgetKind::Deadline);

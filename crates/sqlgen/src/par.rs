@@ -1,29 +1,34 @@
 //! Morsel-driven parallel task execution for the operator pipeline.
 //!
-//! [`run_tasks`] is the one concurrency primitive the executor uses: a
-//! fixed task count is handed to a scoped worker pool that pulls task
-//! indices from a shared atomic cursor (work-stealing over "morsels").
-//! Results land in per-task slots so callers always see them in task
-//! order, regardless of which worker ran what — the cornerstone of the
-//! executor's determinism guarantee.
+//! Every heavy operator (scan, hash-join build and probe, aggregation)
+//! has one code path: it splits its input into tasks and hands them to
+//! [`run_tasks`] through its [`PoolUse`]. The operator asks [`workers`] how many threads it may
+//! use, which depends only on the plan's thread count and the size of
+//! the input: under [`PAR_THRESHOLD`] rows it is one. `run_tasks` is the
+//! one place that decides between running the tasks inline on the
+//! calling thread (one worker or one task) and launching a scoped pool
+//! whose workers pull task indices from a shared atomic cursor. Either
+//! way results land in per-task slots, so callers always see them in
+//! task order — the cornerstone of the executor's determinism.
 //!
 //! Cooperative cancellation: the ambient [`aqks_guard`] governor is
 //! captured on the calling thread (thread-local installs don't cross
 //! into workers) and its deadline is re-checked before every task, so a
 //! tripped budget stops all workers within one morsel. Row charging
-//! stays on the calling thread at the pre-existing charge sites, which
+//! stays on the calling thread at the operators' charge sites, which
 //! keeps budget accounting byte-identical across thread counts.
 //!
-//! Observability: when a recorder is installed and the parallel path is
-//! actually taken, a `par:<site>` span wraps the pool and each worker
-//! records a `worker` child span with its completed-task count, using
-//! the cross-thread `SpanHandle` API. Always-on metrics mirror the same
+//! Observability: when a recorder is installed and a pool is actually
+//! launched, a `par:<site>` span wraps the pool and each worker records
+//! a `worker` child span with its completed-task count, using the
+//! cross-thread `SpanHandle` API. Always-on metrics mirror the same
 //! numbers into the global registry: each worker accumulates its task
 //! count locally and merges it with a single atomic add at scope exit,
 //! so totals are exact regardless of scheduling or thread count.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 use aqks_obs::metrics::{Counter, LabeledCounter};
 
@@ -34,34 +39,66 @@ use crate::exec::ExecError;
 /// the task count of every pool run at that site.
 static PAR_TASKS: LabeledCounter = LabeledCounter::new("aqks_par_tasks", "site");
 
-/// Worker-pool launches that actually took the parallel path.
+/// Worker-pool launches (inline runs are not counted).
 static PAR_POOLS: Counter = Counter::new("aqks_par_pools");
 
-/// Rows per parallel work unit handed to a worker at a time.
-pub(crate) const MORSEL_SIZE: usize = 2048;
+/// Rows per morsel: the unit of work a task filters, builds or probes,
+/// and the size of the batches operators emit.
+pub(crate) const MORSEL: usize = 1024;
 
-/// Inputs smaller than this stay on the sequential path even when more
-/// threads are available — below it, pool overhead exceeds the win.
+/// Inputs smaller than this get one worker whatever the thread count —
+/// below it, pool overhead exceeds the win.
 pub(crate) const PAR_THRESHOLD: usize = 4096;
 
-/// Knobs controlling how a plan is executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecOptions {
-    /// Worker threads for parallel operator sections. `1` (the default)
-    /// selects the exact sequential legacy code paths.
-    pub threads: usize,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions { threads: 1 }
+/// Workers an operator may use on an input of `rows` rows when the plan
+/// runs with `threads` threads.
+pub(crate) fn workers(threads: usize, rows: usize) -> usize {
+    if rows >= PAR_THRESHOLD {
+        threads.max(1)
+    } else {
+        1
     }
 }
 
-impl ExecOptions {
-    /// Options running `n` worker threads (clamped to at least 1).
-    pub fn with_threads(n: usize) -> ExecOptions {
-        ExecOptions { threads: n.max(1) }
+/// Threads a [`run_tasks`] call occupies: more than one means a pool.
+fn pool_size(workers: usize, tasks: usize) -> usize {
+    workers.min(tasks).max(1)
+}
+
+/// The pool runs of one operator: the widest pool and the wall time
+/// spent inside pools, reported in the operator's metrics.
+#[derive(Debug, Default)]
+pub(crate) struct PoolUse {
+    threads: u32,
+    wall: Duration,
+}
+
+impl PoolUse {
+    /// [`run_tasks`], recording the run when it launched a pool.
+    pub(crate) fn run<T, F>(
+        &mut self,
+        workers: usize,
+        n: usize,
+        site: &'static str,
+        task: F,
+    ) -> Result<Vec<T>, ExecError>
+    where
+        T: Send,
+        F: Fn(usize) -> Result<T, ExecError> + Sync,
+    {
+        let t = Instant::now();
+        let out = run_tasks(workers, n, site, task)?;
+        let size = pool_size(workers, n);
+        if size > 1 {
+            self.threads = self.threads.max(size as u32);
+            self.wall += t.elapsed();
+        }
+        Ok(out)
+    }
+
+    /// `(threads, wall)` when any pool ran.
+    pub(crate) fn info(&self) -> Option<(u32, Duration)> {
+        (self.threads > 1).then_some((self.threads, self.wall))
     }
 }
 
@@ -73,9 +110,9 @@ pub(crate) fn relock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 
 /// Runs `n` independent tasks on up to `threads` workers and returns
 /// their results in task order. Errors are deterministic: the
-/// lowest-index failing task wins, matching what a sequential run would
+/// lowest-index failing task wins, matching what an inline run would
 /// report first.
-pub(crate) fn run_tasks<T, F>(
+fn run_tasks<T, F>(
     threads: usize,
     n: usize,
     site: &'static str,
@@ -86,9 +123,9 @@ where
     F: Fn(usize) -> Result<T, ExecError> + Sync,
 {
     let gov = aqks_guard::current();
-    let workers = threads.min(n).max(1);
+    let workers = pool_size(threads, n);
     if workers <= 1 {
-        // Inline path: no pool, no spans — identical to pre-parallel code.
+        // Inline: no pool, no spans.
         let mut out = Vec::with_capacity(n);
         for i in 0..n {
             if let Some(g) = &gov {
@@ -173,11 +210,6 @@ where
     }
     Ok(out)
 }
-
-const fn assert_send_sync<T: Send + Sync>() {}
-const _: () = {
-    assert_send_sync::<ExecOptions>();
-};
 
 #[cfg(test)]
 mod tests {

@@ -6,7 +6,7 @@
 //! along the statement's equi-join predicates (cross products only as a
 //! last resort, smallest source first), and picks each hash join's build
 //! side from cardinality estimates. The resulting [`PlanNode`] tree is
-//! what [`crate::ops::run_plan`] executes, what [`render_plan`] prints
+//! what [`crate::ops::run`] executes, what [`render_plan`] prints
 //! for `aqks explain`, and what the bench harness instruments.
 //!
 //! Pushdown rules:
@@ -858,7 +858,7 @@ pub(crate) fn fmt_dur(d: std::time::Duration) -> String {
 mod tests {
     use super::*;
     use crate::ast::{OrderKey, SelectItem};
-    use crate::ops::run_plan;
+    use crate::ops::{run, ExecCtx};
     use aqks_relational::{AttrType, RelationSchema};
 
     /// Student(3) / Course(3) / Enrol(6), as in the exec tests.
@@ -941,7 +941,7 @@ mod tests {
         })
         .expect("deepest cross join");
         assert_eq!(first.est_rows, 9, "3 x 3, not 3 x 6");
-        let (table, stats) = run_plan(&p, &db).unwrap();
+        let (table, stats) = run(&p, &db, &ExecCtx::default()).unwrap();
         assert_eq!(table.scalar(), Some(&Value::Int(54)), "full product unchanged");
         assert_eq!(stats.ops[first.id].rows_out, 9, "intermediate rows shrank from 18 to 9");
     }
@@ -991,8 +991,8 @@ mod tests {
             "pushdown off keeps a post-join filter:\n{}",
             render_plan(&unpushed)
         );
-        let (a, stats_a) = run_plan(&pushed, &db).unwrap();
-        let (b, _) = run_plan(&unpushed, &db).unwrap();
+        let (a, stats_a) = run(&pushed, &db, &ExecCtx::default()).unwrap();
+        let (b, _) = run(&unpushed, &db, &ExecCtx::default()).unwrap();
         assert_eq!(a.rows, b.rows);
         // The pushed scan emits only the two Greens.
         assert_eq!(stats_a.ops[scan.unwrap().id].rows_out, 2);
@@ -1027,7 +1027,7 @@ mod tests {
             }
         });
         assert_eq!(derived, 2, "{}", render_plan(&p));
-        let (table, _) = run_plan(&p, &db).unwrap();
+        let (table, _) = run(&p, &db, &ExecCtx::default()).unwrap();
         assert_eq!(table.scalar(), Some(&Value::Int(3)));
     }
 
@@ -1064,15 +1064,15 @@ mod tests {
         .unwrap();
         let j2 = find(&p2, &|n| matches!(n.op, PlanOp::HashJoin { .. })).unwrap();
         assert!(matches!(j2.op, PlanOp::HashJoin { build_left: false, .. }));
-        let (a, stats) = run_plan(&p, &db).unwrap();
-        let (b, _) = run_plan(&p2, &db).unwrap();
+        let (a, stats) = run(&p, &db, &ExecCtx::default()).unwrap();
+        let (b, _) = run(&p2, &db, &ExecCtx::default()).unwrap();
         assert_eq!(a.rows, b.rows, "build side never changes answers");
         let note = stats.ops[j.id].note.clone().unwrap_or_default();
         assert!(note.contains("build rows=3") && note.contains("probe rows=6"), "{note}");
     }
 
     /// ORDER BY yields a Sort node and `is_ordered`; without one the
-    /// root is unordered and run_plan canonicalizes row order.
+    /// root is unordered and `run` canonicalizes row order.
     #[test]
     fn sort_node_and_ordering_flag() {
         let mut stmt = SelectStatement {
@@ -1083,7 +1083,7 @@ mod tests {
         let db = db();
         let p = plan(&stmt, &db).unwrap();
         assert!(!p.is_ordered());
-        let (t, _) = run_plan(&p, &db).unwrap();
+        let (t, _) = run(&p, &db, &ExecCtx::default()).unwrap();
         assert!(t.rows.windows(2).all(|w| w[0] <= w[1]), "stable value order: {t}");
 
         stmt.order_by = vec![OrderKey { column: col("", "Sid"), desc: true }];
@@ -1091,7 +1091,7 @@ mod tests {
         let p = plan(&stmt, &db).unwrap();
         assert!(p.is_ordered(), "{}", render_plan(&p));
         assert!(matches!(p.op, PlanOp::Limit { n: 3 }));
-        let (t, _) = run_plan(&p, &db).unwrap();
+        let (t, _) = run(&p, &db, &ExecCtx::default()).unwrap();
         assert_eq!(t.len(), 3);
         assert!(t.rows.windows(2).all(|w| w[0] >= w[1]), "descending preserved: {t}");
     }
@@ -1119,7 +1119,7 @@ mod tests {
         assert!(text.contains("HashJoin on [s.sid = e.sid]"), "{text}");
         assert!(text.contains("Scan Student AS s [s.sname contains 'green']"), "{text}");
         assert!(text.contains("└─"), "{text}");
-        let (_, stats) = run_plan(&p, &db).unwrap();
+        let (_, stats) = run(&p, &db, &ExecCtx::default()).unwrap();
         let analyzed = render_plan_with_stats(&p, &stats);
         assert!(analyzed.contains("rows="), "{analyzed}");
         assert!(analyzed.contains("time="), "{analyzed}");

@@ -11,7 +11,7 @@ use aqks::plancheck::verify;
 use aqks::relational::{AttrType, Database, RelationSchema, Value};
 use aqks::sqlgen::ast::OrderKey;
 use aqks::sqlgen::{
-    plan, plan_with_options, run_plan, AggFunc, ColumnRef, PlanNode, PlanOptions, Predicate,
+    plan, plan_with_options, run, AggFunc, ColumnRef, ExecCtx, PlanNode, PlanOptions, Predicate,
     SelectItem, SelectStatement, TableExpr,
 };
 
@@ -45,7 +45,7 @@ fn assert_classes_are_behavioral(db: &Database, queries: &[&str], workload: &str
     for (ci, class) in analysis.classes.iter().enumerate() {
         let mut reference: Option<Vec<Vec<Value>>> = None;
         for &m in &class.members {
-            let (table, _) = run_plan(&plans[m], db)
+            let (table, _) = run(&plans[m], db, &ExecCtx::default())
                 .unwrap_or_else(|e| panic!("{workload}: plan {m} fails to execute: {e}"));
             let rows = table.sorted().rows;
             match &reference {
@@ -271,9 +271,10 @@ fn canonicalize_verify_execute_never_changes_results() {
         );
         verify(&canon.plan, &db, None)
             .unwrap_or_else(|e| panic!("round {round}: canonical plan rejected: {e}"));
-        let (a, _) = run_plan(&p, &db).unwrap_or_else(|e| panic!("round {round}: original: {e}"));
-        let (b, _) =
-            run_plan(&canon.plan, &db).unwrap_or_else(|e| panic!("round {round}: canonical: {e}"));
+        let (a, _) = run(&p, &db, &ExecCtx::default())
+            .unwrap_or_else(|e| panic!("round {round}: original: {e}"));
+        let (b, _) = run(&canon.plan, &db, &ExecCtx::default())
+            .unwrap_or_else(|e| panic!("round {round}: canonical: {e}"));
         assert_eq!(
             a.sorted().rows,
             b.sorted().rows,

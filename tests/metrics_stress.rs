@@ -5,10 +5,8 @@
 //! the per-operator `op:*` span totals (rows in/out) and the global
 //! registry's per-operator row counters must be identical whether the
 //! TPC-H' aggregate workload runs single-threaded or morsel-parallel
-//! at 8 threads. Batch *counts* legitimately differ across thread
-//! counts (the sequential path emits lazy 1024-row batches, the
-//! parallel path per-morsel batches), so the comparison is row totals,
-//! which the merge order cannot change.
+//! at 8 threads. The comparison is on row totals, which no merge order
+//! can change.
 //!
 //! This also stresses the worker-exit counter handoff in
 //! `aqks_sqlgen::par`: each worker merges its local task tally into the

@@ -1,13 +1,13 @@
 //! Integration tests of the planner/executor pipeline over the full
 //! evaluation workloads: predicate pushdown must be a pure optimization
-//! (identical answers with it on or off), and `run_plan` must agree with
+//! (identical answers with it on or off), and `run` must agree with
 //! the `execute` facade on every statement both engines generate.
 
 use aqks_core::Engine;
 use aqks_eval::{acmdl_queries, tpch_queries, EvalQuery};
 use aqks_relational::Database;
 use aqks_sqlgen::{
-    execute, plan_with_options, run_plan, PlanNode, PlanOp, PlanOptions, SelectStatement,
+    execute, plan_with_options, run, ExecCtx, PlanNode, PlanOp, PlanOptions, SelectStatement,
 };
 
 fn tpch_prime() -> Database {
@@ -59,8 +59,8 @@ fn pushdown_is_equivalent_on_tpch_prime_workload() {
             0,
             "pushdown=false must not push predicates into scans:\n{stmt}"
         );
-        let (a, _) = run_plan(&on, &db).unwrap();
-        let (b, _) = run_plan(&off, &db).unwrap();
+        let (a, _) = run(&on, &db, &ExecCtx::default()).unwrap();
+        let (b, _) = run(&off, &db, &ExecCtx::default()).unwrap();
         assert_eq!(a, b, "pushdown changed the answer of:\n{stmt}");
     }
     assert!(pushed_scans > 0, "no workload statement exercised a pushed scan");
@@ -78,7 +78,7 @@ fn run_plan_matches_execute_on_normalized_workloads() {
         for stmt in &stmts {
             let via_facade = execute(stmt, &db).unwrap();
             let plan = plan_with_options(stmt, &db, &PlanOptions::default()).unwrap();
-            let (via_plan, stats) = run_plan(&plan, &db).unwrap();
+            let (via_plan, stats) = run(&plan, &db, &ExecCtx::default()).unwrap();
             assert_eq!(via_facade, via_plan, "{stmt}");
             assert_eq!(stats.ops.len(), plan.max_id() + 1);
         }
