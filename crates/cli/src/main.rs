@@ -78,7 +78,7 @@
 use std::io::{BufRead, Write};
 
 use aqks_analyze::Analyzer;
-use aqks_core::{Budget, Engine};
+use aqks_core::{Budget, CoreError, Engine, Request};
 use aqks_datasets::{
     denormalize_acmdl, denormalize_tpch, generate_acmdl, generate_tpch, university, AcmdlConfig,
     TpchConfig,
@@ -372,14 +372,11 @@ fn run_query(
             Err(e) => println!("explain error: {e}"),
         }
     }
-    let answered = match trace {
-        Some(_) => engine.answer_traced_governed(query, k, budget).map(|(g, t)| (g, Some(t))),
-        None => engine.answer_governed(query, k, budget).map(|g| (g, None)),
-    };
+    let request = Request { k, budget: budget.clone(), trace: trace.is_some() };
     let mut code = 0;
-    match answered {
-        Ok((governed, collected)) => {
-            for (rank, a) in governed.value.iter().enumerate() {
+    match engine.ask(query, &request) {
+        Ok(answer) => {
+            for (rank, a) in answer.interpretations.iter().enumerate() {
                 println!("── interpretation #{}", rank + 1);
                 if explain {
                     println!("pattern: {}", a.pattern_description);
@@ -388,11 +385,11 @@ fn run_query(
                 println!("{}", a.result);
                 println!("({})", a.stats);
             }
-            if let (Some(fmt), Some(t)) = (trace, collected) {
+            if let (Some(fmt), Some(t)) = (trace, answer.trace) {
                 println!("── pipeline trace");
                 emit_trace(&t, fmt, trace_out);
             }
-            if let Some(ex) = governed.exhaustion {
+            if let Some(ex) = answer.exhaustion {
                 eprintln!("budget exhausted: {ex}");
                 code = EXIT_EXHAUSTED;
             }
@@ -505,15 +502,16 @@ fn run_explain_shared(engine: &Engine, queries: &[String], k: usize) -> usize {
     let mut plans = Vec::new();
     for q in queries {
         println!("── explain --shared `{q}`");
-        match engine.interpretation_plans(q, k) {
+        let planned = engine.generate(q, k).and_then(|generated| {
+            generated
+                .into_iter()
+                .map(|g| Ok((aqks_sqlgen::plan(&g.sql, db)?, g.sql_text)))
+                .collect::<Result<Vec<_>, CoreError>>()
+        });
+        match planned {
             Ok(pairs) => {
-                for (rank, (g, p)) in pairs.into_iter().enumerate() {
-                    println!(
-                        "interpretation #{} (plan #{}): {}",
-                        rank + 1,
-                        plans.len(),
-                        g.sql_text
-                    );
+                for (rank, (p, sql_text)) in pairs.into_iter().enumerate() {
+                    println!("interpretation #{} (plan #{}): {sql_text}", rank + 1, plans.len());
                     plans.push(p);
                 }
             }
@@ -934,14 +932,7 @@ fn main() {
     // One-line diagnostics instead of a backtrace dump if anything gets
     // past the engine's panic shield; the process still exits non-zero.
     std::panic::set_hook(Box::new(|info| {
-        let msg = if let Some(s) = info.payload().downcast_ref::<&str>() {
-            s
-        } else if let Some(s) = info.payload().downcast_ref::<String>() {
-            s.as_str()
-        } else {
-            "unknown panic"
-        };
-        eprintln!("error: internal panic: {msg}");
+        eprintln!("error: internal panic: {}", aqks_guard::panic_message(info.payload()));
     }));
     let opts = match parse_args() {
         Ok(o) => o,

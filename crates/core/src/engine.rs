@@ -8,7 +8,9 @@
 //! simplified by the Section 4.1 rewrite rules.
 //!
 //! [`Engine::generate`] produces the ranked SQL statements (what
-//! Figure 11 times); [`Engine::answer`] additionally executes them.
+//! Figure 11 times); [`Engine::ask`] additionally executes them, under a
+//! budget and optionally traced — [`Engine::answer`] and
+//! [`Engine::answer_traced`] are its two common shapes.
 
 use aqks_analyze::{Analyzer, Report};
 use aqks_guard::{Budget, Exhaustion, Governor};
@@ -27,10 +29,11 @@ use crate::rank::rank_patterns;
 use crate::translate::{translate_ex, TranslateOptions};
 use crate::unnormalized::{rewrite, RewriteOptions};
 
-/// Answered keyword queries (every `answer`/`answer_governed` call).
+/// Answered keyword queries (every [`Engine::ask`] call, traced or not,
+/// made while metrics are enabled).
 static QUERIES: Counter = Counter::new("aqks_engine_queries");
 
-/// End-to-end `answer` latency.
+/// End-to-end [`Engine::ask`] latency.
 static ANSWER_NS: Histogram = Histogram::new("aqks_engine_answer_ns", Unit::Nanos);
 
 /// Total result rows per answered query, summed over interpretations.
@@ -116,17 +119,37 @@ pub struct Interpretation {
     pub stats: ExecStats,
 }
 
-/// A result produced under a [`Budget`]: the value, plus the structured
-/// [`Exhaustion`] report when a budget dimension tripped. `exhaustion`
-/// is `None` when the call completed within its budget; when set,
-/// `value` holds whatever completed before the trip (possibly nothing —
-/// see [`Exhaustion::partial`]).
+/// What one [`Engine::ask`] call asks for.
 #[derive(Debug, Clone)]
-pub struct Governed<T> {
-    /// The (possibly partial) result.
-    pub value: T,
-    /// Which budget tripped, where, and whether `value` is non-empty.
+pub struct Request {
+    /// How many top-ranked interpretations to execute.
+    pub k: usize,
+    /// Resource limits for the call; [`Budget::unlimited`] installs no
+    /// governor at all.
+    pub budget: Budget,
+    /// Return the call's [`PipelineTrace`] in [`Answer::trace`].
+    pub trace: bool,
+}
+
+impl Request {
+    /// The top-`k` interpretations, unlimited and untraced; set the
+    /// other fields with struct-update syntax.
+    pub fn new(k: usize) -> Request {
+        Request { k, budget: Budget::unlimited(), trace: false }
+    }
+}
+
+/// The result of [`Engine::ask`].
+#[derive(Debug, Clone)]
+pub struct Answer {
+    /// The executed interpretations in rank order — on a budget trip,
+    /// those that completed before it (possibly none).
+    pub interpretations: Vec<Interpretation>,
+    /// Which budget tripped, where, and whether `interpretations` is
+    /// non-empty; `None` when the call completed within its budget.
     pub exhaustion: Option<Exhaustion>,
+    /// The pipeline trace, when [`Request::trace`] asked for it.
+    pub trace: Option<PipelineTrace>,
 }
 
 /// How one query term matched the database (see [`Engine::explain`]).
@@ -158,6 +181,14 @@ pub struct Explanation {
     pub terms: Vec<TermReport>,
     /// All generated patterns, ranked best-first.
     pub patterns: Vec<PatternReport>,
+}
+
+/// What [`Engine::front_end`] hands on: the parsed query, each term's
+/// matches (in query order), and the ranked patterns, best first.
+struct FrontEnd {
+    query: KeywordQuery,
+    matches: Vec<Vec<TermMatch>>,
+    ranked: Vec<QueryPattern>,
 }
 
 /// Per-thread trace recorders. Every OS thread calling into a shared
@@ -212,7 +243,7 @@ pub struct Engine {
 const fn assert_send_sync<T: Send + Sync>() {}
 const _: () = assert_send_sync::<Engine>();
 const _: () = assert_send_sync::<std::sync::Arc<Engine>>();
-const _: () = assert_send_sync::<Governed<Vec<Interpretation>>>();
+const _: () = assert_send_sync::<Answer>();
 const _: () = assert_send_sync::<Interpretation>();
 const _: () = assert_send_sync::<CoreError>();
 
@@ -294,11 +325,11 @@ impl Engine {
     }
 
     /// The calling thread's trace recorder for this engine. Disabled
-    /// (and effectively free) by default; enable it around a call — or
-    /// use [`Engine::answer_traced`] / [`Engine::explain_traced`] — to
-    /// collect a [`PipelineTrace`]. Recorders are per thread, so
-    /// concurrent callers on a shared engine observe independently.
-    pub fn recorder(&self) -> Recorder {
+    /// (and effectively free) outside [`Engine::ask`], which enables it
+    /// for the call when metrics are on or a trace was requested.
+    /// Recorders are per thread, so concurrent callers on a shared
+    /// engine observe independently.
+    fn recorder(&self) -> Recorder {
         self.recorders.get()
     }
 
@@ -311,39 +342,11 @@ impl Engine {
         shielded(|| self.generate_inner(query, k))
     }
 
-    /// [`Engine::generate`] with each interpretation lowered to its
-    /// physical plan — the input shape equivalence analysis
-    /// (`aqks-equiv`) and the CLI's `--equiv`/`--shared` surfaces
-    /// consume: one `(statement, plan)` pair per interpretation.
-    pub fn interpretation_plans(
-        &self,
-        query: &str,
-        k: usize,
-    ) -> Result<Vec<(GeneratedSql, aqks_sqlgen::PlanNode)>, CoreError> {
-        let generated = self.generate(query, k)?;
-        let mut out = Vec::with_capacity(generated.len());
-        for g in generated {
-            let plan = aqks_sqlgen::plan(&g.sql, &self.db)?;
-            out.push((g, plan));
-        }
-        Ok(out)
-    }
-
-    /// [`Engine::generate`] under a resource [`Budget`]: interpretations
-    /// completed before a trip are returned alongside the structured
-    /// [`Exhaustion`] report. Only genuine errors — not exhaustion —
-    /// surface as `Err`.
-    pub fn generate_governed(
-        &self,
-        query: &str,
-        k: usize,
-        budget: &Budget,
-    ) -> Result<Governed<Vec<GeneratedSql>>, CoreError> {
-        self.governed(budget, || self.generate_inner(query, k))
-    }
-
-    fn generate_inner(&self, query: &str, k: usize) -> Result<Vec<GeneratedSql>, CoreError> {
-        let rec = self.recorders.get();
+    /// The front end shared by generation and [`Engine::explain`]:
+    /// parse, match every term, enumerate, annotate, and rank the
+    /// patterns (best first).
+    fn front_end(&self, query: &str) -> Result<FrontEnd, CoreError> {
+        let rec = self.recorder();
         let query = {
             let _s = rec.span("parse");
             KeywordQuery::parse(query)?
@@ -364,12 +367,18 @@ impl Engine {
             let _s = rec.span("annotate");
             disambiguate(patterns, &self.namespace)
         };
-        let patterns = {
+        let ranked = {
             let s = rec.span("rank");
             let ranked = rank_patterns(patterns);
             s.add("patterns.ranked", ranked.len() as u64);
             ranked
         };
+        Ok(FrontEnd { query, matches, ranked })
+    }
+
+    fn generate_inner(&self, query: &str, k: usize) -> Result<Vec<GeneratedSql>, CoreError> {
+        let rec = self.recorder();
+        let patterns = self.front_end(query)?.ranked;
 
         // Translate all top-k patterns, then analyze all statements, so a
         // trace shows exactly one `translate` and one `analyze` phase.
@@ -435,58 +444,104 @@ impl Engine {
         }
     }
 
-    /// Full Algorithm 2: generate the top-`k` interpretations and execute
-    /// them against the database.
+    /// Full Algorithm 2 — the engine's one answer path: generate the
+    /// top-`request.k` interpretations and execute them under
+    /// `request.budget`, returning the pipeline trace when
+    /// `request.trace` is set.
     ///
-    /// Library panics are caught at this boundary and surface as
-    /// [`CoreError::Internal`].
-    pub fn answer(&self, query: &str, k: usize) -> Result<Vec<Interpretation>, CoreError> {
-        let obs = self.begin_observation();
-        let result = {
-            let _root = self.recorders.get().span("answer");
-            shielded(|| self.answer_inner(query, k))
-        };
-        if let Some(t0) = obs {
-            let rows = result
-                .as_ref()
-                .map(|v| v.iter().map(|i| i.result.row_count() as u64).sum())
-                .unwrap_or(0);
-            self.finish_observation(query, t0, rows, None);
+    /// A budget trip is not an error: the interpretations completed
+    /// before it come back with the structured [`Exhaustion`] report,
+    /// and the trip shows in the trace as a `guard` span with
+    /// `guard.trip.<site>` counters. Library panics are caught at this
+    /// boundary and surface as [`CoreError::Internal`]. While metrics
+    /// are enabled every call, traced or not, is counted, timed per
+    /// phase, and filed with the flight recorder.
+    pub fn ask(&self, query: &str, request: &Request) -> Result<Answer, CoreError> {
+        let rec = self.recorder();
+        let metrics = aqks_obs::metrics::enabled();
+        let observed = metrics || request.trace;
+        if observed {
+            rec.enable();
+            let _ = rec.take(); // discard stale spans
         }
-        result
-    }
-
-    /// [`Engine::answer`] under a resource [`Budget`]: the engine
-    /// degrades gracefully on exhaustion, returning the interpretations
-    /// that completed before the trip plus the structured [`Exhaustion`]
-    /// report naming the budget and site that tripped. Only genuine
-    /// errors surface as `Err`.
-    pub fn answer_governed(
-        &self,
-        query: &str,
-        k: usize,
-        budget: &Budget,
-    ) -> Result<Governed<Vec<Interpretation>>, CoreError> {
-        let obs = self.begin_observation();
+        let t0 = std::time::Instant::now();
         let result = {
-            let _root = self.recorders.get().span("answer");
-            self.governed(budget, || self.answer_inner(query, k))
+            let _root = rec.span("answer");
+            // An unlimited budget builds no governor, so the pipeline's
+            // checkpoints stay on their zero-cost ungoverned path.
+            let gov = (!request.budget.is_unlimited()).then(|| Governor::new(&request.budget));
+            let run = {
+                let _installed = gov.as_ref().map(aqks_guard::install);
+                shielded(|| self.answer_inner(query, request.k))
+            };
+            let run = match run {
+                // A trip that unwound the whole pipeline: no partials exist.
+                Err(CoreError::Budget(_)) if gov.is_some() => Ok(Vec::new()),
+                run => run,
+            };
+            run.map(|interpretations| {
+                let exhaustion = gov.and_then(|g| g.trip()).map(|t| {
+                    let s = rec.span("guard");
+                    s.add("guard.trips", 1);
+                    s.add(format!("guard.trip.{}", t.site), 1);
+                    t.exhaust(!interpretations.is_empty())
+                });
+                (interpretations, exhaustion)
+            })
         };
-        if let Some(t0) = obs {
+        let mut trace = observed.then(|| {
+            let trace = rec.take();
+            rec.disable();
+            trace
+        });
+        if metrics {
+            let total_ns = t0.elapsed().as_nanos() as u64;
             let (rows, tripped) = match &result {
-                Ok(g) => (
-                    g.value.iter().map(|i| i.result.row_count() as u64).sum(),
-                    g.exhaustion.as_ref().map(|e| e.to_string()),
+                Ok((interpretations, exhaustion)) => (
+                    interpretations.iter().map(|i| i.result.row_count() as u64).sum(),
+                    exhaustion.as_ref().map(|e| e.to_string()),
                 ),
                 Err(_) => (0, None),
             };
-            self.finish_observation(query, t0, rows, tripped);
+            QUERIES.add(1);
+            ANSWER_NS.observe(total_ns);
+            RESULT_ROWS.observe(rows);
+            let filed = if request.trace { trace.clone() } else { trace.take() };
+            let filed = filed.unwrap_or_default();
+            if let Some(root) = filed.roots.iter().find(|r| r.name == "answer") {
+                for child in &root.children {
+                    if let Some(label) = phase_label(&child.name) {
+                        PHASE_NS.observe(label, child.total_ns);
+                    }
+                }
+            }
+            let flight = aqks_obs::flight::global();
+            flight.record(query, total_ns, tripped, filed);
+            FLIGHT_RETAINED.set(flight.retained() as i64);
         }
-        result
+        let (interpretations, exhaustion) = result?;
+        Ok(Answer { interpretations, exhaustion, trace })
+    }
+
+    /// The top-`k` interpretations, executed: [`Engine::ask`] with no
+    /// budget and no trace.
+    pub fn answer(&self, query: &str, k: usize) -> Result<Vec<Interpretation>, CoreError> {
+        self.ask(query, &Request::new(k)).map(|a| a.interpretations)
+    }
+
+    /// [`Engine::answer`] with its [`PipelineTrace`]: [`Engine::ask`]
+    /// with `trace` set.
+    pub fn answer_traced(
+        &self,
+        query: &str,
+        k: usize,
+    ) -> Result<(Vec<Interpretation>, PipelineTrace), CoreError> {
+        self.ask(query, &Request { trace: true, ..Request::new(k) })
+            .map(|a| (a.interpretations, a.trace.unwrap_or_default()))
     }
 
     fn answer_inner(&self, query: &str, k: usize) -> Result<Vec<Interpretation>, CoreError> {
-        let rec = self.recorders.get();
+        let rec = self.recorder();
         let generated = self.generate_inner(query, k)?;
         let mut out = Vec::with_capacity(generated.len());
         for g in generated {
@@ -545,200 +600,39 @@ impl Engine {
         Ok(out)
     }
 
-    /// [`Engine::answer`] with tracing: enables the recorder for the
-    /// duration of the call and returns the collected [`PipelineTrace`]
-    /// alongside the interpretations.
-    pub fn answer_traced(
-        &self,
-        query: &str,
-        k: usize,
-    ) -> Result<(Vec<Interpretation>, PipelineTrace), CoreError> {
-        self.traced(|| self.answer(query, k))
-    }
-
-    /// [`Engine::answer_governed`] with tracing: budget trips appear in
-    /// the trace as a `guard` span with `guard.trip.<site>` counters.
-    pub fn answer_traced_governed(
-        &self,
-        query: &str,
-        k: usize,
-        budget: &Budget,
-    ) -> Result<(Governed<Vec<Interpretation>>, PipelineTrace), CoreError> {
-        self.traced(|| self.answer_governed(query, k, budget))
-    }
-
-    /// Runs `f` with a [`Governor`] for `budget` installed ambiently,
-    /// converting a budget trip into a graceful [`Governed`] result and
-    /// recording it on the trace (a `guard` span + counters). The
-    /// governor is only installed when the budget actually limits
-    /// something, so unlimited calls stay on the zero-cost path.
-    fn governed<T>(
-        &self,
-        budget: &Budget,
-        f: impl FnOnce() -> Result<Vec<T>, CoreError>,
-    ) -> Result<Governed<Vec<T>>, CoreError> {
-        let gov = Governor::new(budget);
-        let result = {
-            let _installed =
-                if budget.is_unlimited() { None } else { Some(aqks_guard::install(&gov)) };
-            shielded(f)
-        };
-        let value = match result {
-            Ok(v) => v,
-            // A trip that unwound the whole pipeline: no partials exist.
-            Err(CoreError::Budget(_)) => Vec::new(),
-            Err(e) => return Err(e),
-        };
-        let exhaustion = gov.trip().map(|t| {
-            let s = self.recorders.get().span("guard");
-            s.add("guard.trips", 1);
-            s.add(format!("guard.trip.{}", t.site), 1);
-            t.exhaust(!value.is_empty())
-        });
-        Ok(Governed { value, exhaustion })
-    }
-
-    /// [`Engine::explain`] with tracing (see [`Engine::answer_traced`]).
-    pub fn explain_traced(&self, query: &str) -> Result<(Explanation, PipelineTrace), CoreError> {
-        self.traced(|| self.explain(query))
-    }
-
-    /// Starts the always-on observation of one `answer` call: enables
-    /// the recorder (so phase spans land somewhere) and returns the
-    /// start instant. Returns `None` — observation off — when metrics
-    /// are globally disabled, or when the recorder is already enabled
-    /// by an enclosing `*_traced` call, whose trace must not be stolen.
-    fn begin_observation(&self) -> Option<std::time::Instant> {
-        let rec = self.recorders.get();
-        if !aqks_obs::metrics::enabled() || rec.is_enabled() {
-            return None;
-        }
-        rec.enable();
-        let _ = rec.take(); // discard stale spans
-        Some(std::time::Instant::now())
-    }
-
-    /// Finishes an observation started by [`Engine::begin_observation`]:
-    /// harvests the pipeline trace, folds its phase timings into the
-    /// global histograms, and files the trace with the flight recorder.
-    fn finish_observation(
-        &self,
-        query: &str,
-        t0: std::time::Instant,
-        rows: u64,
-        tripped: Option<String>,
-    ) {
-        let rec = self.recorders.get();
-        let trace = rec.take();
-        rec.disable();
-        let total_ns = t0.elapsed().as_nanos() as u64;
-        QUERIES.add(1);
-        ANSWER_NS.observe(total_ns);
-        RESULT_ROWS.observe(rows);
-        if let Some(root) = trace.roots.iter().find(|r| r.name == "answer") {
-            for child in &root.children {
-                if let Some(label) = phase_label(&child.name) {
-                    PHASE_NS.observe(label, child.total_ns);
-                }
-            }
-        }
-        let flight = aqks_obs::flight::global();
-        flight.record(query, total_ns, tripped, trace);
-        FLIGHT_RETAINED.set(flight.retained() as i64);
-    }
-
-    /// Runs `f` with the recorder enabled and snapshots the trace.
-    /// Restores the previous enabled state afterwards, and drops
-    /// anything recorded before the call so the trace covers `f` only.
-    fn traced<T>(
-        &self,
-        f: impl FnOnce() -> Result<T, CoreError>,
-    ) -> Result<(T, PipelineTrace), CoreError> {
-        let rec = self.recorders.get();
-        let was_enabled = rec.is_enabled();
-        if !was_enabled {
-            rec.enable();
-        }
-        let _ = rec.take(); // discard stale spans
-        let result = f();
-        let trace = rec.take();
-        if !was_enabled {
-            rec.disable();
-        }
-        Ok((result?, trace))
-    }
-
     /// Explains how a query is interpreted: each term's matches and the
     /// ranked patterns with their scores — the trace behind
     /// [`Engine::generate`], for debugging and the CLI's `--explain`.
+    ///
+    /// Library panics are caught at this boundary and surface as
+    /// [`CoreError::Internal`].
     pub fn explain(&self, query: &str) -> Result<Explanation, CoreError> {
-        let rec = self.recorders.get();
-        let _root = rec.span("explain");
-        let parsed = {
-            let _s = rec.span("parse");
-            KeywordQuery::parse(query)?
-        };
-        let matches = {
-            let s = rec.span("match");
-            let matches = self.term_matches(&parsed)?;
-            s.add("matches.total", matches.iter().map(Vec::len).sum::<usize>() as u64);
-            matches
-        };
-        let term_reports = parsed
-            .terms
-            .iter()
-            .zip(&matches)
-            .map(|(t, ms)| {
-                let text = match t {
-                    Term::Basic(s) => s.clone(),
-                    Term::Op(Operator::GroupBy) => "GROUPBY".to_string(),
-                    Term::Op(Operator::Agg(f)) => f.keyword().to_string(),
-                };
-                let descriptions = ms
-                    .iter()
-                    .map(|m| match m {
-                        TermMatch::RelationName { relation } => {
-                            format!("relation `{relation}`")
-                        }
-                        TermMatch::AttributeName { relation, attribute } => {
-                            format!("attribute `{relation}.{attribute}`")
-                        }
-                        TermMatch::Value { relation, attribute, tuple_count } => {
-                            format!("value of `{relation}.{attribute}` ({tuple_count} object(s))")
-                        }
-                    })
-                    .collect();
-                TermReport {
-                    term: text,
+        shielded(|| {
+            let FrontEnd { query, matches, ranked } = self.front_end(query)?;
+            let terms = query
+                .terms
+                .iter()
+                .zip(&matches)
+                .map(|(t, ms)| TermReport {
+                    term: match t {
+                        Term::Basic(s) => s.clone(),
+                        Term::Op(Operator::GroupBy) => "GROUPBY".to_string(),
+                        Term::Op(Operator::Agg(f)) => f.keyword().to_string(),
+                    },
                     is_operator: matches!(t, Term::Op(_)),
-                    matches: descriptions,
-                }
-            })
-            .collect();
-
-        let patterns = {
-            let s = rec.span("pattern");
-            let patterns = generate_patterns(&parsed, &matches, &self.graph, &self.namespace)?;
-            s.add("patterns.generated", patterns.len() as u64);
-            patterns
-        };
-        let annotated = {
-            let _s = rec.span("annotate");
-            disambiguate(patterns, &self.namespace)
-        };
-        let ranked = {
-            let _s = rec.span("rank");
-            rank_patterns(annotated)
-        };
-        let pattern_reports = ranked
-            .iter()
-            .map(|p| PatternReport {
-                description: p.describe(),
-                dot: p.to_dot(),
-                score: crate::rank::rank_key(p),
-            })
-            .collect();
-        Ok(Explanation { terms: term_reports, patterns: pattern_reports })
+                    matches: ms.iter().map(describe_match).collect(),
+                })
+                .collect();
+            let patterns = ranked
+                .iter()
+                .map(|p| PatternReport {
+                    description: p.describe(),
+                    dot: p.to_dot(),
+                    score: crate::rank::rank_key(p),
+                })
+                .collect();
+            Ok(Explanation { terms, patterns })
+        })
     }
 
     fn term_matches(&self, query: &KeywordQuery) -> Result<Vec<Vec<TermMatch>>, CoreError> {
@@ -770,17 +664,19 @@ impl Engine {
 /// through the caller. The engine owns no interior mutability that a
 /// mid-panic unwind could corrupt, so `AssertUnwindSafe` is sound here.
 fn shielded<T>(f: impl FnOnce() -> Result<T, CoreError>) -> Result<T, CoreError> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-        Ok(r) => r,
-        Err(payload) => {
-            let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_string()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "non-string panic payload".to_string()
-            };
-            Err(CoreError::Internal(msg))
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+        .unwrap_or_else(|payload| Err(CoreError::Internal(aqks_guard::panic_message(&*payload))))
+}
+
+/// One line describing how a term matched (see [`TermReport::matches`]).
+fn describe_match(m: &TermMatch) -> String {
+    match m {
+        TermMatch::RelationName { relation } => format!("relation `{relation}`"),
+        TermMatch::AttributeName { relation, attribute } => {
+            format!("attribute `{relation}.{attribute}`")
+        }
+        TermMatch::Value { relation, attribute, tuple_count } => {
+            format!("value of `{relation}.{attribute}` ({tuple_count} object(s))")
         }
     }
 }
@@ -953,18 +849,6 @@ mod tests {
         assert!(!engine.recorder().is_enabled());
     }
 
-    #[test]
-    fn explain_traced_has_interpretation_phases() {
-        let engine = Engine::new(university::normalized()).unwrap();
-        let (ex, trace) = engine.explain_traced("Green SUM Credit").unwrap();
-        assert!(!ex.patterns.is_empty());
-        let root = &trace.roots[0];
-        assert_eq!(root.name, "explain");
-        for phase in ["parse", "match", "pattern", "annotate", "rank"] {
-            assert!(root.children.iter().any(|c| c.name == phase), "{phase} missing");
-        }
-    }
-
     /// Untraced calls leave nothing behind: the recorder stays disabled
     /// and a later traced call sees only its own spans.
     #[test]
@@ -1007,7 +891,8 @@ mod tests {
 
         // A governed trip files a tripped exemplar.
         let budget = Budget::unlimited().with_max_patterns(1);
-        let g = engine.answer_governed("Green George COUNT Code", 3, &budget).unwrap();
+        let g =
+            engine.ask("Green George COUNT Code", &Request { budget, ..Request::new(3) }).unwrap();
         assert!(g.exhaustion.is_some());
         let tripped = flight.last_tripped().expect("tripped exemplar retained");
         assert!(tripped.tripped.is_some());
@@ -1019,14 +904,32 @@ mod tests {
         assert!(!engine.recorder().is_enabled());
     }
 
+    /// A traced answer is observed like any other: the caller gets its
+    /// trace, and the call still reaches the always-on metrics and the
+    /// flight recorder.
+    #[test]
+    fn traced_answer_feeds_metrics_and_flight() {
+        aqks_obs::metrics::set_enabled(true);
+        let engine = Engine::new(university::normalized()).unwrap();
+        let queries =
+            || aqks_obs::metrics::global().snapshot().counter_total("aqks_engine_queries");
+        let flight = aqks_obs::flight::global();
+
+        let (queries_before, recorded_before) = (queries(), flight.recorded());
+        let (_, trace) = engine.answer_traced("Green SUM Credit", 1).unwrap();
+        assert_eq!(trace.roots.len(), 1);
+        assert!(queries() > queries_before);
+        assert!(flight.recorded() > recorded_before);
+    }
+
     #[test]
     fn unlimited_budget_matches_ungoverned_answer() {
         let engine = Engine::new(university::normalized()).unwrap();
         let plain = engine.answer("Java SUM Price", 3).unwrap();
-        let governed = engine.answer_governed("Java SUM Price", 3, &Budget::unlimited()).unwrap();
+        let governed = engine.ask("Java SUM Price", &Request::new(3)).unwrap();
         assert!(governed.exhaustion.is_none());
-        assert_eq!(governed.value.len(), plain.len());
-        for (a, b) in plain.iter().zip(&governed.value) {
+        assert_eq!(governed.interpretations.len(), plain.len());
+        for (a, b) in plain.iter().zip(&governed.interpretations) {
             assert_eq!(a.sql_text, b.sql_text);
             assert_eq!(a.result, b.result);
         }
@@ -1037,11 +940,12 @@ mod tests {
         let engine = Engine::new(university::normalized()).unwrap();
         // "Green George COUNT Code" enumerates 2 interpretation combos.
         let budget = Budget::unlimited().with_max_patterns(1);
-        let g = engine.answer_governed("Green George COUNT Code", 3, &budget).unwrap();
+        let g =
+            engine.ask("Green George COUNT Code", &Request { budget, ..Request::new(3) }).unwrap();
         let ex = g.exhaustion.expect("pattern budget should trip");
         assert_eq!(ex.kind, aqks_guard::BudgetKind::Patterns);
         assert_eq!(ex.site, "pattern.enumerate");
-        assert_eq!(ex.partial, !g.value.is_empty());
+        assert_eq!(ex.partial, !g.interpretations.is_empty());
     }
 
     #[test]
@@ -1051,24 +955,24 @@ mod tests {
         let all = engine.answer("Green SUM Credit", 3).unwrap();
         assert!(all.len() >= 2, "fixture needs >=2 interpretations");
         let budget = Budget::unlimited().with_max_interpretations(1);
-        let g = engine.answer_governed("Green SUM Credit", 3, &budget).unwrap();
-        assert_eq!(g.value.len(), 1, "one interpretation completed before the trip");
+        let g = engine.ask("Green SUM Credit", &Request { budget, ..Request::new(3) }).unwrap();
+        assert_eq!(g.interpretations.len(), 1, "one interpretation completed before the trip");
         let ex = g.exhaustion.expect("interpretation budget should trip");
         assert_eq!(ex.kind, aqks_guard::BudgetKind::Interpretations);
         assert_eq!(ex.site, "engine.translate");
         assert!(ex.partial);
         // The survivor is the top-ranked interpretation.
-        assert_eq!(g.value[0].sql_text, all[0].sql_text);
+        assert_eq!(g.interpretations[0].sql_text, all[0].sql_text);
     }
 
     #[test]
     fn expired_deadline_reports_exhaustion_not_error() {
         let engine = Engine::new(university::normalized()).unwrap();
         let budget = Budget::unlimited().with_timeout(std::time::Duration::ZERO);
-        let g = engine.answer_governed("Green SUM Credit", 1, &budget).unwrap();
+        let g = engine.ask("Green SUM Credit", &Request { budget, ..Request::new(1) }).unwrap();
         let ex = g.exhaustion.expect("deadline should trip");
         assert_eq!(ex.kind, aqks_guard::BudgetKind::Deadline);
-        assert!(g.value.is_empty());
+        assert!(g.interpretations.is_empty());
         assert!(!ex.partial);
         // Exhaustion renders a one-line human-readable report.
         let msg = ex.to_string();
@@ -1081,7 +985,7 @@ mod tests {
         // Generous pattern allowance, tiny row allowance: generation
         // succeeds, execution trips inside an operator.
         let budget = Budget::unlimited().with_max_rows(1);
-        let g = engine.answer_governed("Java SUM Price", 3, &budget).unwrap();
+        let g = engine.ask("Java SUM Price", &Request { budget, ..Request::new(3) }).unwrap();
         let ex = g.exhaustion.expect("row budget should trip");
         assert_eq!(ex.kind, aqks_guard::BudgetKind::Rows);
         assert!(ex.site.starts_with("ops.") || ex.site.starts_with("index."), "{}", ex.site);
@@ -1093,7 +997,7 @@ mod tests {
     fn governor_does_not_leak_past_the_call() {
         let engine = Engine::new(university::normalized()).unwrap();
         let budget = Budget::unlimited().with_max_rows(1);
-        let g = engine.answer_governed("Green SUM Credit", 1, &budget).unwrap();
+        let g = engine.ask("Green SUM Credit", &Request { budget, ..Request::new(1) }).unwrap();
         assert!(g.exhaustion.is_some());
         let plain = engine.answer("Green SUM Credit", 1).unwrap();
         assert_eq!(plain.len(), 1);
@@ -1105,8 +1009,10 @@ mod tests {
     fn governed_trip_is_visible_in_trace() {
         let engine = Engine::new(university::normalized()).unwrap();
         let budget = Budget::unlimited().with_max_patterns(1);
-        let (g, trace) =
-            engine.answer_traced_governed("Green George COUNT Code", 3, &budget).unwrap();
+        let g = engine
+            .ask("Green George COUNT Code", &Request { budget, trace: true, ..Request::new(3) })
+            .unwrap();
+        let trace = g.trace.as_ref().expect("trace requested");
         assert!(g.exhaustion.is_some());
         let root = &trace.roots[0];
         assert_eq!(root.name, "answer");

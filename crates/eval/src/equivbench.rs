@@ -161,22 +161,6 @@ pub fn run_equiv_bench(scale: Scale, k: usize) -> Vec<WorkloadEquivBench> {
     ]
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Serializes benchmark rows as the `BENCH_equiv.json` document.
 pub fn render_json(rows: &[WorkloadEquivBench], scale: Scale, k: usize) -> String {
     let scale_name = match scale {
@@ -199,7 +183,7 @@ pub fn render_json(rows: &[WorkloadEquivBench], scale: Scale, k: usize) -> Strin
         s.push_str(&format!("      \"shared_rows\": {},\n", r.shared_rows));
         s.push_str(&format!("      \"rows_saved\": {},\n", r.rows_saved()));
         let errors: Vec<String> =
-            r.errors.iter().map(|e| format!("\"{}\"", json_escape(e))).collect();
+            r.errors.iter().map(|e| format!("\"{}\"", aqks_obs::json::escape(e))).collect();
         s.push_str(&format!("      \"errors\": [{}]\n", errors.join(", ")));
         s.push_str(&format!("    }}{}\n", if i + 1 < rows.len() { "," } else { "" }));
     }

@@ -382,7 +382,7 @@ pub fn render_sweep_json(sweep: &ThreadSweep) -> String {
         s.push_str("      {");
         s.push_str(&format!("\"id\": \"{}\", ", r.id));
         if let Some(err) = &r.error {
-            s.push_str(&format!("\"error\": \"{}\"", json_escape(err)));
+            s.push_str(&format!("\"error\": \"{}\"", aqks_obs::json::escape(err)));
         } else {
             s.push_str(&format!("\"result_rows\": {}, ", r.result_rows));
             s.push_str(&format!("\"speedup\": {:.3}, ", r.speedup));
@@ -397,22 +397,6 @@ pub fn render_sweep_json(sweep: &ThreadSweep) -> String {
     }
     s.push_str("    ]\n  }");
     s
-}
-
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Serializes benchmark rows as the `BENCH_exec.json` document; a
@@ -435,9 +419,9 @@ pub fn render_json(
         s.push_str(&format!("      \"id\": \"{}\",\n", r.id));
         s.push_str(&format!("      \"workload\": \"{}\",\n", r.workload));
         if let Some(err) = &r.error {
-            s.push_str(&format!("      \"error\": \"{}\"\n", json_escape(err)));
+            s.push_str(&format!("      \"error\": \"{}\"\n", aqks_obs::json::escape(err)));
         } else {
-            s.push_str(&format!("      \"sql\": \"{}\",\n", json_escape(&r.sql)));
+            s.push_str(&format!("      \"sql\": \"{}\",\n", aqks_obs::json::escape(&r.sql)));
             s.push_str(&format!("      \"result_rows\": {},\n", r.result_rows));
             s.push_str(&format!("      \"wall_min_us\": {:.1},\n", r.wall.min_us));
             s.push_str(&format!("      \"wall_us\": {:.1},\n", r.wall.median_us));
@@ -445,7 +429,7 @@ pub fn render_json(
             let phases: Vec<String> = r
                 .phases
                 .iter()
-                .map(|(name, us)| format!("\"{}\": {:.1}", json_escape(name), us))
+                .map(|(name, us)| format!("\"{}\": {:.1}", aqks_obs::json::escape(name), us))
                 .collect();
             s.push_str(&format!("      \"phases_us\": {{{}}},\n", phases.join(", ")));
             s.push_str("      \"operators\": [\n");
@@ -453,7 +437,7 @@ pub fn render_json(
                 s.push_str(&format!(
                     "        {{\"id\": {}, \"label\": \"{}\", \"rows_in\": {}, \"rows_out\": {}, \"wall_us\": {:.1}}}{}\n",
                     op.id,
-                    json_escape(&op.label),
+                    aqks_obs::json::escape(&op.label),
                     op.rows_in,
                     op.rows_out,
                     op.wall_us,

@@ -219,7 +219,7 @@ pub fn render_json(bench: &ObsBench) -> String {
         s.push_str("    {");
         s.push_str(&format!("\"id\": \"{}\", ", r.id));
         match &r.error {
-            Some(e) => s.push_str(&format!("\"error\": \"{}\"", crate::execbench::json_escape(e))),
+            Some(e) => s.push_str(&format!("\"error\": \"{}\"", aqks_obs::json::escape(e))),
             None => {
                 s.push_str(&format!("\"disabled_us\": {:.1}, ", r.disabled.median_us));
                 s.push_str(&format!("\"enabled_us\": {:.1}, ", r.enabled.median_us));

@@ -400,9 +400,32 @@ pub fn charge_interpretations(site: &'static str, n: u64) -> Result<(), Tripped>
     ACTIVE.with(|s| s.borrow().last().map_or(Ok(()), |g| g.charge_interpretations(site, n)))
 }
 
+/// The message of a caught panic payload (`panic!` with a literal or a
+/// formatted string); other payload types get a fixed placeholder. Used
+/// wherever a panic is turned into a one-line diagnostic.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn panic_message_reads_str_and_string_payloads() {
+        let literal = std::panic::catch_unwind(|| panic!("plain")).unwrap_err();
+        assert_eq!(panic_message(&*literal), "plain");
+        let formatted = std::panic::catch_unwind(|| panic!("at {}", 7)).unwrap_err();
+        assert_eq!(panic_message(&*formatted), "at 7");
+        let other = std::panic::catch_unwind(|| std::panic::panic_any(7u8)).unwrap_err();
+        assert_eq!(panic_message(&*other), "non-string panic payload");
+    }
 
     #[test]
     fn unlimited_budget_never_trips() {

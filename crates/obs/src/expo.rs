@@ -117,12 +117,12 @@ pub fn render_json(snap: &Snapshot) -> String {
     let mut out = String::from("{\n  \"metrics\": [\n");
     for (idx, m) in snap.metrics.iter().enumerate() {
         out.push_str("    {");
-        out.push_str(&format!("\"name\": \"{}\"", crate::trace::escape(m.name)));
+        out.push_str(&format!("\"name\": \"{}\"", crate::json::escape(m.name)));
         if let Some((k, v)) = m.label {
             out.push_str(&format!(
                 ", \"label\": {{\"{}\": \"{}\"}}",
-                crate::trace::escape(k),
-                crate::trace::escape(v)
+                crate::json::escape(k),
+                crate::json::escape(v)
             ));
         }
         match &m.value {

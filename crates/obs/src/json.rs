@@ -1,10 +1,30 @@
-//! A minimal recursive-descent JSON well-formedness checker.
+//! JSON string escaping and a minimal recursive-descent well-formedness
+//! checker.
 //!
-//! The trace exporters in this crate hand-serialize JSON (the workspace
-//! is dependency-free), so tests and the CLI verify that exported
+//! The trace exporters in this crate — and the benchmark reports in
+//! `aqks-eval` — hand-serialize JSON (the workspace is dependency-free)
+//! with [`escape`], so tests and the CLI verify that exported
 //! documents actually parse before anyone feeds them to
 //! `chrome://tracing`. This is a validator, not a DOM: it checks syntax
 //! per RFC 8259 and returns the byte offset of the first error.
+
+/// Escapes `s` for the inside of a JSON string literal (RFC 8259 §7):
+/// quote, backslash, and every control character.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
 
 /// Validates that `input` is exactly one JSON value (plus whitespace).
 pub fn validate(input: &str) -> Result<(), String> {

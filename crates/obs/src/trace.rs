@@ -4,6 +4,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::json::escape;
 use crate::recorder::RawSpan;
 
 /// One span in the finished tree.
@@ -251,22 +252,6 @@ fn fmt_ns(ns: u64) -> String {
     } else {
         format!("{:.3}s", us / 1e6)
     }
-}
-
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

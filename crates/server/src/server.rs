@@ -656,10 +656,11 @@ fn execute(request: &Request, shared: &Shared) -> Response {
         }
         let budget = effective_budget(request, &shared.cfg);
         let k = request.k.min(shared.cfg.max_k);
-        match shared.engine.answer_governed(&request.text, k, &budget) {
-            Ok(governed) => {
-                let interpretations = governed
-                    .value
+        let asked = aqks_core::Request { k, budget, trace: false };
+        match shared.engine.ask(&request.text, &asked) {
+            Ok(answer) => {
+                let interpretations = answer
+                    .interpretations
                     .iter()
                     .map(|i| WireInterp {
                         sql: i.sql_text.clone(),
@@ -672,8 +673,8 @@ fn execute(request: &Request, shared: &Shared) -> Response {
                             .collect(),
                     })
                     .collect();
-                let degraded = governed.exhaustion.map(|e| format!("{}@{}", e.kind, e.site));
-                let partial = governed.exhaustion.is_some_and(|e| e.partial);
+                let degraded = answer.exhaustion.map(|e| format!("{}@{}", e.kind, e.site));
+                let partial = answer.exhaustion.is_some_and(|e| e.partial);
                 Response::Ok(Answer { interpretations, degraded, partial, server_us: 0 })
             }
             Err(e) => Response::Err(map_core_error(&e)),
@@ -687,21 +688,15 @@ fn execute(request: &Request, shared: &Shared) -> Response {
             Response::Ok(answer)
         }
         Ok(err) => err,
-        Err(payload) => {
-            let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_string()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "non-string panic payload".to_string()
-            };
-            Response::Err(WireError::new(ErrorCode::Internal, format!("caught panic: {msg}")))
-        }
+        Err(payload) => Response::Err(WireError::new(
+            ErrorCode::Internal,
+            format!("caught panic: {}", aqks_guard::panic_message(&*payload)),
+        )),
     }
 }
 
 /// Maps engine errors onto the wire taxonomy. Budget trips do not reach
-/// here in the normal path (`answer_governed` degrades them); a
+/// here in the normal path (`Engine::ask` degrades them); a
 /// `CoreError::Budget` leaking through is treated as degradation-shaped
 /// but empty, i.e. an OK answer with a degraded flag and no rows.
 fn map_core_error(e: &CoreError) -> WireError {

@@ -1,14 +1,15 @@
 //! Chaos sweep: with the `failpoints` feature, every injected fault —
 //! at the accept, enqueue, execute, and respond sites, inside the
 //! engine, and a worker panic — must surface as a *typed* wire error
-//! while the server keeps serving. Runs as a single sequential test
-//! because failpoint arming is process-global.
+//! while the server keeps serving. Failpoint arming is process-global,
+//! so each test holds [`SERIAL`] for its whole run: a site armed by one
+//! test would otherwise fire inside the other's queries.
 
 #![cfg(feature = "failpoints")]
 
 use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use aqks_core::Engine;
@@ -16,8 +17,12 @@ use aqks_datasets::university;
 use aqks_guard::failpoint;
 use aqks_server::{Client, ClientConfig, ClientError, ErrorCode, Request, Server, ServerConfig};
 
+/// Taken by every test in this file (see the module docs).
+static SERIAL: Mutex<()> = Mutex::new(());
+
 #[test]
 fn every_injected_fault_surfaces_typed_and_server_survives() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let engine = Arc::new(Engine::new(university::normalized()).expect("dataset builds"));
     let server = Server::start(engine, ServerConfig::default()).expect("server binds");
     let cfg = ClientConfig { max_attempts: 1, ..ClientConfig::default() };
@@ -81,6 +86,7 @@ fn worker_panic_does_not_poison_the_pool() {
     // a typed `internal` error and the same worker keeps serving. Use a
     // single-worker pool so the recovery query provably runs on the
     // thread that caught the panic.
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let engine = Arc::new(Engine::new(university::normalized()).expect("dataset builds"));
     let cfg = ServerConfig { workers: 1, ..ServerConfig::default() };
     let server = Server::start(engine, cfg).expect("server binds");

@@ -283,9 +283,18 @@ mod tests {
     #[test]
     fn tasks_actually_run_on_multiple_threads() {
         let ids = Mutex::new(HashSet::new());
-        run_tasks(4, 256, "test.par", |_| {
+        run_tasks(4, 256, "test.par", |i| {
             ids.lock().unwrap().insert(std::thread::current().id());
-            std::thread::yield_now();
+            // Task 0 holds its worker until a second worker has run a
+            // task, so a busy host cannot let one worker drain the whole
+            // queue first. The wait is bounded: an inline run (one
+            // thread) fails the assertion below instead of hanging.
+            if i == 0 {
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+                while ids.lock().unwrap().len() < 2 && std::time::Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+            }
             Ok(())
         })
         .unwrap();

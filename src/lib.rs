@@ -40,7 +40,7 @@
 //! interpretations plus a structured report instead of an error.
 //!
 //! ```
-//! use aqks::core::{Budget, Engine};
+//! use aqks::core::{Budget, Engine, Request};
 //! use aqks::datasets::university;
 //! use std::time::Duration;
 //!
@@ -48,9 +48,9 @@
 //! let budget = Budget::unlimited()
 //!     .with_timeout(Duration::from_millis(250))
 //!     .with_max_rows(100_000);
-//! let governed = engine.answer_governed("Green SUM Credit", 1, &budget).unwrap();
-//! match governed.exhaustion {
-//!     None => println!("{} answer(s) within budget", governed.value.len()),
+//! let answer = engine.ask("Green SUM Credit", &Request { budget, ..Request::new(1) }).unwrap();
+//! match answer.exhaustion {
+//!     None => println!("{} answer(s) within budget", answer.interpretations.len()),
 //!     Some(ex) => println!("stopped early: {ex}"),
 //! }
 //! ```

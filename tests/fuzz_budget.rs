@@ -1,6 +1,6 @@
 //! Fixed-seed fuzz of the governed engine boundary: arbitrary keyword
 //! strings — valid, malformed, adversarial — pushed through
-//! [`Engine::answer_governed`] under a tight budget must always come
+//! [`Engine::ask`] under a tight budget must always come
 //! back as either a governed result or a *typed* error. In particular
 //! `CoreError::Internal` (the panic shield's variant) must never appear:
 //! that would mean some input panicked the pipeline.
@@ -11,7 +11,7 @@
 
 use std::time::Duration;
 
-use aqks::core::{Budget, CoreError, Engine};
+use aqks::core::{Budget, CoreError, Engine, Request};
 use aqks::datasets::university;
 
 struct Rng(u64);
@@ -78,7 +78,7 @@ fn governed_answer_never_panics_on_arbitrary_input() {
     let mut errored = 0;
     for case in 0..400 {
         let q = arb_query(&mut rng);
-        match engine.answer_governed(&q, 3, &budget) {
+        match engine.ask(&q, &Request { budget: budget.clone(), ..Request::new(3) }) {
             Ok(g) => {
                 if g.exhaustion.is_some() {
                     exhausted += 1;
@@ -87,7 +87,11 @@ fn governed_answer_never_panics_on_arbitrary_input() {
                 }
                 // Partiality bookkeeping stays coherent on junk input.
                 if let Some(ex) = g.exhaustion {
-                    assert_eq!(ex.partial, !g.value.is_empty(), "case {case} `{q}`: {ex:?}");
+                    assert_eq!(
+                        ex.partial,
+                        !g.interpretations.is_empty(),
+                        "case {case} `{q}`: {ex:?}"
+                    );
                 }
             }
             Err(CoreError::Internal(m)) => {
@@ -113,7 +117,7 @@ fn zero_deadline_fuzz_always_returns_structured_exhaustion() {
     let mut rng = Rng(0xBEEF);
     for case in 0..200 {
         let q = arb_query(&mut rng);
-        match engine.answer_governed(&q, 2, &budget) {
+        match engine.ask(&q, &Request { budget: budget.clone(), ..Request::new(2) }) {
             Ok(g) => {
                 if let Some(ex) = g.exhaustion {
                     assert_eq!(ex.kind, aqks::guard::BudgetKind::Deadline, "case {case} `{q}`");

@@ -6,7 +6,7 @@
 
 use std::time::Duration;
 
-use aqks::core::{Budget, BudgetKind, Engine};
+use aqks::core::{Budget, BudgetKind, Engine, Request};
 use aqks::datasets::{denormalize_tpch, generate_tpch, university, TpchConfig};
 
 fn tpch_prime() -> Engine {
@@ -25,13 +25,14 @@ fn tpch_prime_workload_survives_starvation_budget() {
         .with_max_patterns(1);
     let mut trips = 0;
     for q in aqks_eval::tpch_queries() {
-        let governed = match engine.answer_governed(q.text, 3, &budget) {
-            Ok(g) => g,
-            // A term the small dataset cannot match is a legitimate typed
-            // error; anything else (especially Internal) is a bug.
-            Err(aqks::core::CoreError::NoMatch(_)) => continue,
-            Err(e) => panic!("{}: unexpected error {e}", q.id),
-        };
+        let governed =
+            match engine.ask(q.text, &Request { budget: budget.clone(), ..Request::new(3) }) {
+                Ok(g) => g,
+                // A term the small dataset cannot match is a legitimate typed
+                // error; anything else (especially Internal) is a bug.
+                Err(aqks::core::CoreError::NoMatch(_)) => continue,
+                Err(e) => panic!("{}: unexpected error {e}", q.id),
+            };
         if let Some(ex) = governed.exhaustion {
             trips += 1;
             assert!(
@@ -40,7 +41,7 @@ fn tpch_prime_workload_survives_starvation_budget() {
                 q.id
             );
             assert!(!ex.site.is_empty(), "{}: trip site recorded", q.id);
-            assert_eq!(ex.partial, !governed.value.is_empty(), "{}: {ex:?}", q.id);
+            assert_eq!(ex.partial, !governed.interpretations.is_empty(), "{}: {ex:?}", q.id);
         }
     }
     assert!(trips > 0, "the starvation budget tripped on at least one workload query");
@@ -58,10 +59,10 @@ fn tpch_prime_generous_budget_is_invisible() {
         .with_max_patterns(10_000);
     let q = "COUNT order \"royal olive\"";
     let plain = engine.answer(q, 1).expect("query answers");
-    let governed = engine.answer_governed(q, 1, &budget).expect("query answers");
+    let governed = engine.ask(q, &Request { budget, ..Request::new(1) }).expect("query answers");
     assert!(governed.exhaustion.is_none());
-    assert_eq!(plain.len(), governed.value.len());
-    assert_eq!(plain[0].result, governed.value[0].result);
+    assert_eq!(plain.len(), governed.interpretations.len());
+    assert_eq!(plain[0].result, governed.interpretations[0].result);
 }
 
 /// The interpretation cap is a soft trip: on a multi-interpretation
@@ -70,8 +71,9 @@ fn tpch_prime_generous_budget_is_invisible() {
 fn interpretation_cap_yields_partial_results() {
     let engine = Engine::new(university::normalized()).unwrap();
     let budget = Budget::unlimited().with_max_interpretations(1);
-    let governed = engine.answer_governed("Green George COUNT Code", 3, &budget).unwrap();
-    assert_eq!(governed.value.len(), 1);
+    let governed =
+        engine.ask("Green George COUNT Code", &Request { budget, ..Request::new(3) }).unwrap();
+    assert_eq!(governed.interpretations.len(), 1);
     let ex = governed.exhaustion.expect("cap trips");
     assert_eq!(ex.kind, BudgetKind::Interpretations);
     assert_eq!(ex.site, "engine.translate");
@@ -88,21 +90,33 @@ fn trip_sites_name_their_layer() {
     let engine = Engine::new(university::normalized()).unwrap();
 
     let g = engine
-        .answer_governed("Green SUM Credit", 1, &Budget::unlimited().with_max_rows(1))
+        .ask(
+            "Green SUM Credit",
+            &Request { budget: Budget::unlimited().with_max_rows(1), ..Request::new(1) },
+        )
         .unwrap();
     let ex = g.exhaustion.expect("row cap trips");
     assert_eq!(ex.kind, BudgetKind::Rows);
     assert!(ex.site.starts_with("ops.") || ex.site.starts_with("index."), "{}", ex.site);
 
     let g = engine
-        .answer_governed("Green George COUNT Code", 3, &Budget::unlimited().with_max_patterns(1))
+        .ask(
+            "Green George COUNT Code",
+            &Request { budget: Budget::unlimited().with_max_patterns(1), ..Request::new(3) },
+        )
         .unwrap();
     let ex = g.exhaustion.expect("pattern cap trips");
     assert_eq!(ex.kind, BudgetKind::Patterns);
     assert_eq!(ex.site, "pattern.enumerate");
 
     let g = engine
-        .answer_governed("Green SUM Credit", 1, &Budget::unlimited().with_timeout(Duration::ZERO))
+        .ask(
+            "Green SUM Credit",
+            &Request {
+                budget: Budget::unlimited().with_timeout(Duration::ZERO),
+                ..Request::new(1)
+            },
+        )
         .unwrap();
     let ex = g.exhaustion.expect("deadline trips");
     assert_eq!(ex.kind, BudgetKind::Deadline);
@@ -115,10 +129,16 @@ fn trip_sites_name_their_layer() {
 fn governance_is_per_call() {
     let engine = Engine::new(university::normalized()).unwrap();
     let starved = Budget::unlimited().with_max_rows(1);
-    assert!(engine.answer_governed("Green SUM Credit", 1, &starved).unwrap().exhaustion.is_some());
+    assert!(engine
+        .ask("Green SUM Credit", &Request { budget: starved, ..Request::new(1) })
+        .unwrap()
+        .exhaustion
+        .is_some());
     // Ungoverned and unlimited-governed calls run to completion.
     assert_eq!(engine.answer("Green SUM Credit", 1).unwrap().len(), 1);
-    let g = engine.answer_governed("Green SUM Credit", 1, &Budget::unlimited()).unwrap();
+    let g = engine
+        .ask("Green SUM Credit", &Request { budget: Budget::unlimited(), ..Request::new(1) })
+        .unwrap();
     assert!(g.exhaustion.is_none());
-    assert_eq!(g.value.len(), 1);
+    assert_eq!(g.interpretations.len(), 1);
 }

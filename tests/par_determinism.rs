@@ -9,7 +9,7 @@
 
 use std::time::Duration;
 
-use aqks::core::{Budget, BudgetKind, Engine};
+use aqks::core::{Budget, BudgetKind, Engine, Request};
 use aqks::datasets::{
     denormalize_acmdl, denormalize_tpch, generate_acmdl, generate_tpch, university, AcmdlConfig,
     TpchConfig,
@@ -106,7 +106,7 @@ fn random_plans_execute_identically_sequential_and_parallel() {
 }
 
 /// A budget that trips while parallel workers are active degrades
-/// exactly like the sequential engine: `answer_governed` returns a
+/// exactly like the sequential engine: `Engine::ask` returns a
 /// structured exhaustion report (never a panic), scoped workers are
 /// joined before the call returns, and the engine stays usable.
 #[test]
@@ -118,7 +118,13 @@ fn parallel_budget_trip_returns_structured_exhaustion() {
     // Pre-expired deadline: workers observe the shared governor at the
     // first checkpoint and cancel mid-morsel.
     let g = engine
-        .answer_governed("order AVG amount", 1, &Budget::unlimited().with_timeout(Duration::ZERO))
+        .ask(
+            "order AVG amount",
+            &Request {
+                budget: Budget::unlimited().with_timeout(Duration::ZERO),
+                ..Request::new(1)
+            },
+        )
         .expect("governed answer");
     let ex = g.exhaustion.expect("expired deadline trips");
     assert_eq!(ex.kind, BudgetKind::Deadline);
@@ -126,7 +132,10 @@ fn parallel_budget_trip_returns_structured_exhaustion() {
     // Row cap: charges happen on the plan's thread regardless of worker
     // count, so the trip site and kind match the sequential engine.
     let g = engine
-        .answer_governed("order AVG amount", 1, &Budget::unlimited().with_max_rows(1))
+        .ask(
+            "order AVG amount",
+            &Request { budget: Budget::unlimited().with_max_rows(1), ..Request::new(1) },
+        )
         .expect("governed answer");
     let ex = g.exhaustion.expect("row cap trips");
     assert_eq!(ex.kind, BudgetKind::Rows);
