@@ -29,6 +29,7 @@ use std::collections::BTreeSet;
 use aqks_relational::{Fd, FdSet, RelationSchema};
 use aqks_sqlgen::{Predicate, SelectItem, SelectStatement};
 
+use crate::rules;
 use crate::scope::{ItemScope, ItemSource, Scope};
 
 /// A set of path-qualified lowercase attribute names.
@@ -87,18 +88,6 @@ pub fn seeds(stmt: &SelectStatement) -> Pinned {
         }
     }
     out
-}
-
-/// The columns of `alias` (single segment, no nested path) contained in a
-/// closure computed at the top level.
-pub fn pinned_for(closure: &Pinned, alias: &str) -> BTreeSet<String> {
-    let prefix = format!("{}.", alias.to_lowercase());
-    closure
-        .iter()
-        .filter_map(|n| n.strip_prefix(&prefix))
-        .filter(|rest| !rest.contains('.'))
-        .map(str::to_string)
-        .collect()
 }
 
 /// Adds the FD contributions of a statement's body (FROM items, join and
@@ -200,19 +189,12 @@ fn add_item(
 /// columns in `closure` are fixed. `prefix` is the item's parent path
 /// ("" at the analyzed statement).
 pub fn item_row_unique(item: &ItemScope<'_>, prefix: &str, closure: &Pinned) -> bool {
-    let mine = format!("{prefix}{}.", item.alias.to_lowercase());
+    let path = format!("{prefix}{}", item.alias.to_lowercase());
+    let mine = format!("{path}.");
     match &item.source {
         // Unresolved relations produce P1 errors; suppress cascades here.
         ItemSource::Unknown => true,
-        ItemSource::Base(rel) => {
-            let pinned: BTreeSet<String> = closure
-                .iter()
-                .filter_map(|n| n.strip_prefix(&mine))
-                .filter(|rest| !rest.contains('.'))
-                .map(str::to_string)
-                .collect();
-            lower_fd_set(rel).is_superkey(&pinned)
-        }
+        ItemSource::Base(rel) => rules::rows_identified(&lower_fd_set(rel), closure, &path),
         ItemSource::Derived(sub, query) => {
             if query.has_aggregate() {
                 if query.group_by.is_empty() {
@@ -285,7 +267,7 @@ mod tests {
             assert!(closure.contains(n), "{n} in {closure:?}");
         }
         assert!(!closure.contains("a.code"));
-        assert_eq!(pinned_for(&closure, "B"), ["sid", "sname"].map(String::from).into());
+        assert_eq!(rules::pinned_for(&closure, "B"), ["sid", "sname"].map(String::from).into());
     }
 
     #[test]

@@ -5,19 +5,28 @@
 //! A static semantic analyzer for the `SELECT` statements the keyword
 //! engine and the SQAK baseline generate. It checks a
 //! [`SelectStatement`](aqks_sqlgen::SelectStatement) against the
-//! [`DatabaseSchema`](aqks_relational::DatabaseSchema), its declared
-//! functional dependencies, and (optionally) the ORM graph — without
-//! executing anything.
+//! [`DatabaseSchema`](aqks_relational::DatabaseSchema) and its declared
+//! functional dependencies, without executing anything. [`analyze`] is
+//! the one entry point.
 //!
 //! Five lint passes with stable diagnostic codes:
 //!
 //! | code    | pass                  | what it proves                         |
 //! |---------|-----------------------|----------------------------------------|
-//! | `AQ-P1` | [`NameResolution`]    | every name resolves, no duplicates     |
-//! | `AQ-P2` | [`TypeCheck`]         | joins/aggregates/`contains` type-check |
-//! | `AQ-P3` | [`JoinValidity`]      | equi-joins follow schema structure     |
-//! | `AQ-P4` | [`AggregateForm`]     | GROUP BY covers plain select items     |
-//! | `AQ-P5` | [`DuplicateInflation`]| no duplicate-inflated aggregates       |
+//! | `AQ-P1` | `name-resolution`     | every name resolves, no duplicates     |
+//! | `AQ-P2` | `type-check`          | joins/aggregates/`contains` type-check |
+//! | `AQ-P3` | `join-validity`       | equi-joins follow schema structure     |
+//! | `AQ-P4` | `aggregate-form`      | GROUP BY covers plain select items     |
+//! | `AQ-P5` | `duplicate-inflation` | no duplicate-inflated aggregates       |
+//!
+//! Modules:
+//!
+//! | module          | contents                                             |
+//! |-----------------|------------------------------------------------------|
+//! | [`rules`]       | the type, join and duplicate-inflation rules, shared with the plan verifier (`aqks-plancheck`) |
+//! | [`scope`]       | name and type resolution of one statement's FROM items |
+//! | [`fdmodel`]     | the statement's flattened FD model and row-uniqueness |
+//! | [`diagnostics`] | [`Diagnostic`]s, [`Severity`] and the [`Report`]      |
 //!
 //! `AQ-P5` is the static counterpart of the paper's Section 4 analysis:
 //! it reproduces, at the plan level, the error class SQAK's translation
@@ -41,15 +50,12 @@
 //! assert!(analyze(&stmt, &schema).is_clean());
 //! ```
 
-pub mod analyzer;
+mod analyzer;
 pub mod diagnostics;
 pub mod fdmodel;
-pub mod passes;
+mod passes;
+pub mod rules;
 pub mod scope;
 
-pub use analyzer::{analyze, Analyzer, AnalyzerOptions, StmtContext};
+pub use analyzer::analyze;
 pub use diagnostics::{Diagnostic, Report, Severity};
-pub use passes::{
-    default_passes, AggregateForm, DuplicateInflation, JoinValidity, LintPass, NameResolution,
-    TypeCheck,
-};

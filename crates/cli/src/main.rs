@@ -77,7 +77,6 @@
 
 use std::io::{BufRead, Write};
 
-use aqks_analyze::Analyzer;
 use aqks_core::{Budget, CoreError, Engine, Request};
 use aqks_datasets::{
     denormalize_acmdl, denormalize_tpch, generate_acmdl, generate_tpch, university, AcmdlConfig,
@@ -803,7 +802,7 @@ fn run_check(
         if let Some(sqak) = sqak {
             match sqak.generate(q) {
                 Ok(g) => {
-                    let report = Analyzer::new(&schema).analyze(&g.sql);
+                    let report = aqks_analyze::analyze(&g.sql, &schema);
                     let verdict =
                         if report.is_clean() { "clean".to_string() } else { report.summary() };
                     println!("  sqak: {verdict}");

@@ -300,6 +300,27 @@ fn check_subcommand_fails_on_malformed_query() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("check failed"));
 }
 
+/// `check --sqak` runs the analyzer over SQAK's statement too: on the
+/// unnormalized TPC-H′ its `AVG(amount)` reads one copy of each order
+/// per part/supplier, a duplicate-inflation error (exit 1), while the
+/// engine's own statement for the same query is clean (exit 0).
+#[test]
+fn check_sqak_flags_duplicate_inflation() {
+    let out = aqks()
+        .args(["check", "--sqak", "--dataset", "tpch-prime", "order AVG amount"])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(stdout.contains("AQ-P5"), "{stdout}");
+
+    let out =
+        aqks().args(["check", "--dataset", "tpch-prime", "order AVG amount"]).output().unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(!stdout.contains("AQ-P5"), "{stdout}");
+}
+
 #[test]
 fn explain_subcommand_fails_on_malformed_query() {
     let out = aqks().args(["explain", "--dataset", "university", "Green SUM"]).output().unwrap();

@@ -12,7 +12,7 @@
 //! budget and optionally traced — [`Engine::answer`] and
 //! [`Engine::answer_traced`] are its two common shapes.
 
-use aqks_analyze::{Analyzer, Report};
+use aqks_analyze::Report;
 use aqks_guard::{Budget, Exhaustion, Governor};
 use aqks_obs::metrics::{Counter, Gauge, Histogram, LabeledHistogram, Unit};
 use aqks_obs::{PipelineTrace, Recorder};
@@ -432,16 +432,9 @@ impl Engine {
     /// Statically analyzes a generated statement. Base relations in the
     /// final SQL always come from the original schema — normalized-view
     /// relations only ever appear as derived projections *over* original
-    /// relations — so the analysis resolves against it. The ORM graph
-    /// describes the namespace, so pass P3 consults it only when the two
-    /// schemas coincide (no view).
+    /// relations — so the analysis resolves against it.
     fn analyze(&self, sql: &SelectStatement) -> Report {
-        let analyzer = Analyzer::new(&self.original_schema);
-        if self.view.is_none() {
-            analyzer.with_graph(&self.graph).analyze(sql)
-        } else {
-            analyzer.analyze(sql)
-        }
+        aqks_analyze::analyze(sql, &self.original_schema)
     }
 
     /// Full Algorithm 2 — the engine's one answer path: generate the

@@ -7,7 +7,7 @@
 //! zero error findings, while SQAK's statements trip `AQ-P5`
 //! (duplicate inflation) exactly where Section 4 predicts wrong answers.
 
-use aqks_analyze::Analyzer;
+use aqks_analyze::analyze;
 use aqks_core::{CoreError, Engine};
 use aqks_relational::Database;
 use aqks_sqak::{Sqak, SqakError};
@@ -92,7 +92,7 @@ pub fn analyze_workload(db: &Database, queries: &[EvalQuery], k: usize) -> Vec<A
             };
             let sqak_verdict = match sqak.generate(q.text) {
                 Ok(g) => {
-                    let report = Analyzer::new(&schema).analyze(&g.sql);
+                    let report = analyze(&g.sql, &schema);
                     let mut codes = Vec::new();
                     record(&mut codes, &report);
                     PlanVerdict::Analyzed { errors: report.error_count(), codes }

@@ -11,13 +11,16 @@
 //! provenance (P3), aggregate well-formedness (P4) and duplicate
 //! safety (P5) — plus planner-contract checks that have no SQL
 //! counterpart (layout consistency, build-side policy, cardinality
-//! bounds, statement/plan shape correspondence).
+//! bounds, statement/plan shape correspondence). The P2, P3 and P5 rules
+//! are the analyzer's own ([`aqks_analyze::rules`]); this module finds
+//! their inputs on the plan.
 
 use std::collections::{BTreeSet, HashMap};
 
 use aqks_analyze::fdmodel::lower_fd_set;
-use aqks_relational::{AttrType, Database, Value};
-use aqks_sqlgen::ast::{AggFunc, SelectItem, SelectStatement, TableExpr};
+use aqks_analyze::rules;
+use aqks_relational::{Database, FdSet};
+use aqks_sqlgen::ast::{SelectItem, SelectStatement, TableExpr};
 use aqks_sqlgen::{PhysAggItem, PhysPred, PlanNode, PlanOp};
 
 use crate::fingerprint::fingerprint;
@@ -415,7 +418,7 @@ fn check_semantics(
             for (&lk, &rk) in left_keys.iter().zip(right_keys) {
                 let (lc, rc) = (&l.cols[lk], &r.cols[rk]);
                 if let (Some(lt), Some(rt)) = (lc.ty, rc.ty) {
-                    if !types_compatible(lt, rt) {
+                    if !rules::types_compatible(lt, rt) {
                         return Err(PlanError::new(
                             PlanErrorKind::JoinKeyType,
                             node.id,
@@ -465,7 +468,7 @@ fn check_pred_types(id: usize, preds: &[PhysPred], cols: &[ColProp]) -> Result<(
         match p {
             PhysPred::EqCols(l, r) => {
                 if let (Some(lt), Some(rt)) = (cols[*l].ty, cols[*r].ty) {
-                    if !types_compatible(lt, rt) {
+                    if !rules::types_compatible(lt, rt) {
                         return Err(PlanError::new(
                             PlanErrorKind::PredType,
                             id,
@@ -481,7 +484,7 @@ fn check_pred_types(id: usize, preds: &[PhysPred], cols: &[ColProp]) -> Result<(
                 }
             }
             PhysPred::ContainsCi(i, _) => {
-                if let Some(ty @ (AttrType::Int | AttrType::Float)) = cols[*i].ty {
+                if let Some(ty) = cols[*i].ty.filter(|&ty| !rules::contains_ok(ty)) {
                     return Err(PlanError::new(
                         PlanErrorKind::PredType,
                         id,
@@ -495,7 +498,7 @@ fn check_pred_types(id: usize, preds: &[PhysPred], cols: &[ColProp]) -> Result<(
             }
             PhysPred::EqLit(i, v) => {
                 if let Some(ty) = cols[*i].ty {
-                    if !literal_compatible(v, ty) {
+                    if !rules::literal_compatible(v, ty) {
                         return Err(PlanError::new(
                             PlanErrorKind::PredType,
                             id,
@@ -513,23 +516,9 @@ fn check_pred_types(id: usize, preds: &[PhysPred], cols: &[ColProp]) -> Result<(
     Ok(())
 }
 
-fn types_compatible(a: AttrType, b: AttrType) -> bool {
-    let numeric = |t| matches!(t, AttrType::Int | AttrType::Float);
-    a == b || (numeric(a) && numeric(b))
-}
-
-fn literal_compatible(v: &Value, ty: AttrType) -> bool {
-    match v {
-        Value::Null => true,
-        Value::Int(_) | Value::Float(_) => matches!(ty, AttrType::Int | AttrType::Float),
-        Value::Str(_) => ty == AttrType::Text,
-        Value::Date(_) => ty == AttrType::Date,
-    }
-}
-
-/// A join key pair must come from the same base attribute (natural
-/// unification) or follow a declared foreign key; aggregate outputs and
-/// other provenance-free columns are exempt.
+/// A join key pair between base columns must follow schema structure
+/// ([`rules::join_allowed`]); aggregate outputs and other
+/// provenance-free columns are exempt.
 fn check_join_provenance(
     id: usize,
     l: &ColProp,
@@ -539,10 +528,7 @@ fn check_join_provenance(
     let (Some((lrel, lattr)), Some((rrel, rattr))) = (&l.base, &r.base) else {
         return Ok(());
     };
-    if lattr == rattr
-        || fk_links(lrel, lattr, rrel, rattr, db)
-        || fk_links(rrel, rattr, lrel, lattr, db)
-    {
+    if rules::join_allowed((lrel, lattr), (rrel, rattr), |rel| db.table(rel).map(|t| &t.schema)) {
         return Ok(());
     }
     Err(PlanError::new(
@@ -554,18 +540,6 @@ fn check_join_provenance(
             r.token()
         ),
     ))
-}
-
-fn fk_links(rel: &str, attr: &str, ref_rel: &str, ref_attr: &str, db: &Database) -> bool {
-    let Some(table) = db.table(rel) else { return false };
-    table.schema.foreign_keys.iter().any(|fk| {
-        fk.ref_relation.eq_ignore_ascii_case(ref_rel)
-            && fk
-                .attrs
-                .iter()
-                .zip(&fk.ref_attrs)
-                .any(|(a, ra)| a.eq_ignore_ascii_case(attr) && ra.eq_ignore_ascii_case(ref_attr))
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -581,19 +555,18 @@ fn check_aggregate(
 ) -> Result<(), PlanError> {
     // P2 analogue: SUM/AVG need numeric arguments.
     for item in items {
-        if let PhysAggItem::Agg { func: func @ (AggFunc::Sum | AggFunc::Avg), arg, .. } = item {
-            if let Some(ty @ (AttrType::Text | AttrType::Date)) = input.cols[*arg].ty {
-                return Err(PlanError::new(
-                    PlanErrorKind::AggType,
-                    node.id,
-                    format!(
-                        "{}({}) over non-numeric type {}",
-                        func.keyword(),
-                        input.cols[*arg].token(),
-                        ty.name()
-                    ),
-                ));
-            }
+        let PhysAggItem::Agg { func, arg, .. } = item else { continue };
+        if let Some(ty) = input.cols[*arg].ty.filter(|&ty| !rules::aggregate_arg_ok(*func, ty)) {
+            return Err(PlanError::new(
+                PlanErrorKind::AggType,
+                node.id,
+                format!(
+                    "{}({}) over non-numeric type {}",
+                    func.keyword(),
+                    input.cols[*arg].token(),
+                    ty.name()
+                ),
+            ));
         }
     }
     // P4 analogue: a plain output column must be a group key or be
@@ -613,26 +586,43 @@ fn check_aggregate(
         }
     }
 
-    // P5 analogue. Mirrors `aqks_analyze`'s DuplicateInflation pass over
-    // the aggregate's own FROM level: base scans reached without crossing
-    // a DerivedTable boundary (inner levels are checked at their own
-    // aggregates).
+    // P5 analogue: the analyzer's duplicate-inflation rules over the
+    // aggregate's own FROM level, i.e. the base scans reached without
+    // crossing a DerivedTable boundary (inner levels are checked at their
+    // own aggregates).
+    let input_node = &node.children[0];
+    let mut scans: Vec<(&str, &str, FdSet)> = Vec::new();
+    collect_scans(input_node, db, &mut scans);
+
+    // Merged groups, for every aggregate function.
+    let keys: Vec<(String, String)> =
+        group.iter().filter_map(|&g| input_node.cols.get(g).cloned()).collect();
+    let matched = collect_contains(input_node);
+    let identified = |alias: &str| {
+        scans
+            .iter()
+            .find(|s| s.1 == alias)
+            .is_none_or(|s| rules::rows_identified(&s.2, &closure, alias))
+    };
+    if let Some(i) = rules::merged_groups(&keys, &matched, identified).next() {
+        let (ga, gc) = &keys[i];
+        let relation = scans.iter().find(|s| s.1 == ga).map_or("", |s| s.0);
+        return Err(PlanError::new(
+            PlanErrorKind::MergedGroups,
+            node.id,
+            format!(
+                "group key {ga}.{gc} is contains-matched but does not identify `{relation}` rows"
+            ),
+        ));
+    }
+
+    // Redundant rows, for duplicate-sensitive aggregates only.
     let dup_sensitive = items.iter().any(|i| {
-        matches!(
-            i,
-            PhysAggItem::Agg {
-                func: AggFunc::Count | AggFunc::Sum | AggFunc::Avg,
-                distinct: false,
-                ..
-            }
-        )
+        matches!(i, PhysAggItem::Agg { func, distinct, .. } if rules::duplicate_sensitive(*func, *distinct))
     });
     if !dup_sensitive {
         return Ok(());
     }
-    let input_node = &node.children[0];
-    let mut scans: Vec<&PlanNode> = Vec::new();
-    collect_scans(input_node, &mut scans);
     let mut used: HashMap<String, BTreeSet<String>> = HashMap::new();
     collect_used(input_node, &mut used);
     for &i in group {
@@ -645,70 +635,37 @@ fn check_aggregate(
         };
         mark_used(&input_node.cols, i, &mut used);
     }
-    let contains_matched = collect_contains(input_node);
-
-    for scan in &scans {
-        let PlanOp::Scan { relation, alias, .. } = &scan.op else { continue };
-        let Some(table) = db.table(relation) else { continue };
-        let fds = lower_fd_set(&table.schema);
-        let pinned = pinned_for(&closure, alias);
-        let empty = BTreeSet::new();
-        let used_a = used.get(alias.as_str()).unwrap_or(&empty);
-        // Redundant rows: a declared non-key FD whose determinant covers
-        // every used column of this relation, while the determinant plus
-        // everything the group keys pin still does not identify a row —
-        // logically-duplicate rows then multiply the aggregate.
-        for fd in &fds.fds {
-            if fds.is_superkey(&fd.lhs) {
-                continue;
-            }
-            if !used_a.is_subset(&fds.closure(fd.lhs.clone())) {
-                continue;
-            }
-            let mut pinned_k = fd.lhs.clone();
-            pinned_k.extend(pinned.iter().cloned());
-            if !fds.is_superkey(&pinned_k) {
-                return Err(PlanError::new(
-                    PlanErrorKind::DuplicateRisk,
-                    node.id,
-                    format!(
-                        "duplicate-sensitive aggregate over `{relation}` AS {alias}: rows \
-                         duplicated along {fd} are not keyed by the group"
-                    ),
-                ));
-            }
-        }
-        // Merged groups: grouping on a contains-matched column of a
-        // relation whose rows the pinned columns do not identify merges
-        // distinct entities that share the matched text.
-        for &g in group {
-            let Some((ga, gc)) = input_node.cols.get(g) else { continue };
-            if ga == alias
-                && contains_matched.contains(&(ga.clone(), gc.clone()))
-                && !fds.is_superkey(&pinned)
-            {
-                return Err(PlanError::new(
-                    PlanErrorKind::MergedGroups,
-                    node.id,
-                    format!(
-                        "group key {ga}.{gc} is contains-matched but does not identify \
-                         `{relation}` rows"
-                    ),
-                ));
-            }
+    let none = BTreeSet::new();
+    for (relation, alias, fds) in &scans {
+        let used_a = used.get(*alias).unwrap_or(&none);
+        if let Some(fd) = rules::redundant_copy(fds, used_a, &rules::pinned_for(&closure, alias)) {
+            return Err(PlanError::new(
+                PlanErrorKind::DuplicateRisk,
+                node.id,
+                format!(
+                    "duplicate-sensitive aggregate over `{relation}` AS {alias}: rows \
+                     duplicated along {fd} are not keyed by the group"
+                ),
+            ));
         }
     }
     Ok(())
 }
 
-/// Base scans of one FROM level (stops at DerivedTable boundaries).
-fn collect_scans<'a>(node: &'a PlanNode, out: &mut Vec<&'a PlanNode>) {
+/// Base scans of one FROM level (stops at DerivedTable boundaries) as
+/// `(relation, alias, lowercased FD set)`; relations missing from the
+/// catalog are skipped.
+fn collect_scans<'a>(node: &'a PlanNode, db: &Database, out: &mut Vec<(&'a str, &'a str, FdSet)>) {
     match &node.op {
         PlanOp::DerivedTable { .. } => {}
-        PlanOp::Scan { .. } => out.push(node),
+        PlanOp::Scan { relation, alias, .. } => {
+            if let Some(table) = db.table(relation) {
+                out.push((relation, alias, lower_fd_set(&table.schema)));
+            }
+        }
         _ => {
             for c in &node.children {
-                collect_scans(c, out);
+                collect_scans(c, db, out);
             }
         }
     }
@@ -782,13 +739,6 @@ fn collect_contains(node: &PlanNode) -> BTreeSet<(String, String)> {
     }
     go(node, &mut out);
     out
-}
-
-/// Columns of `alias` in a token closure (the plan-level analogue of
-/// `aqks_analyze::fdmodel::pinned_for`).
-fn pinned_for(closure: &BTreeSet<String>, alias: &str) -> BTreeSet<String> {
-    let prefix = format!("{alias}.");
-    closure.iter().filter_map(|t| t.strip_prefix(&prefix)).map(str::to_string).collect()
 }
 
 // ---------------------------------------------------------------------------

@@ -186,27 +186,31 @@ fn duplicate_sensitive_aggregate_over_redundant_fd_is_rejected() {
 #[test]
 fn contains_matched_group_key_that_merges_entities_is_rejected() {
     let db = university::normalized();
-    // GROUP BY the contains-matched Sname: the two Greens merge.
-    let mut stmt = select(
-        vec![
-            col("S", "Sname"),
-            SelectItem::Aggregate {
-                func: AggFunc::Count,
-                arg: ColumnRef::new("E", "Code"),
-                distinct: false,
-                alias: "numcode".into(),
-            },
-        ],
-        vec![rel("Student", "S"), rel("Enrol", "E")],
-        vec![
-            Predicate::JoinEq(ColumnRef::new("S", "Sid"), ColumnRef::new("E", "Sid")),
-            Predicate::Contains(ColumnRef::new("S", "Sname"), "green".into()),
-        ],
-    );
-    stmt.group_by = vec![ColumnRef::new("S", "Sname")];
-    let p = plan(&stmt, &db).expect("plans");
-    let err = verify(&p, &db, Some(&stmt)).expect_err("merged groups accepted");
-    assert_eq!(err.kind, PlanErrorKind::MergedGroups, "{err}");
+    // GROUP BY the contains-matched Sname: the two Greens merge, whatever
+    // is computed per group (MAX is not duplicate-sensitive, yet still
+    // reports one answer for two students).
+    for func in [AggFunc::Count, AggFunc::Max] {
+        let mut stmt = select(
+            vec![
+                col("S", "Sname"),
+                SelectItem::Aggregate {
+                    func,
+                    arg: ColumnRef::new("E", "Code"),
+                    distinct: false,
+                    alias: "numcode".into(),
+                },
+            ],
+            vec![rel("Student", "S"), rel("Enrol", "E")],
+            vec![
+                Predicate::JoinEq(ColumnRef::new("S", "Sid"), ColumnRef::new("E", "Sid")),
+                Predicate::Contains(ColumnRef::new("S", "Sname"), "green".into()),
+            ],
+        );
+        stmt.group_by = vec![ColumnRef::new("S", "Sname")];
+        let p = plan(&stmt, &db).expect("plans");
+        let err = verify(&p, &db, Some(&stmt)).expect_err("merged groups accepted");
+        assert_eq!(err.kind, PlanErrorKind::MergedGroups, "{func:?}: {err}");
+    }
     // Grouping by the key instead is clean.
     let mut keyed = select(
         vec![

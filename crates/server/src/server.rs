@@ -696,9 +696,9 @@ fn execute(request: &Request, shared: &Shared) -> Response {
 }
 
 /// Maps engine errors onto the wire taxonomy. Budget trips do not reach
-/// here in the normal path (`Engine::ask` degrades them); a
-/// `CoreError::Budget` leaking through is treated as degradation-shaped
-/// but empty, i.e. an OK answer with a degraded flag and no rows.
+/// here in the normal path (`Engine::ask` degrades them into a partial
+/// answer); a `CoreError::Budget` that does leak through becomes
+/// `ERR code=timeout`.
 fn map_core_error(e: &CoreError) -> WireError {
     match e {
         CoreError::Parse(m) => WireError::new(ErrorCode::Parse, m.clone()),
@@ -763,6 +763,13 @@ mod tests {
             (CoreError::Analysis("a".into()), ErrorCode::Semantic),
             (CoreError::Internal("i".into()), ErrorCode::Internal),
             (CoreError::Fault("site"), ErrorCode::Fault),
+            (
+                CoreError::Budget(aqks_guard::Tripped {
+                    kind: aqks_guard::BudgetKind::Deadline,
+                    site: "site",
+                }),
+                ErrorCode::Timeout,
+            ),
         ];
         for (err, code) in cases {
             assert_eq!(map_core_error(&err).code, code, "{err:?}");

@@ -4,7 +4,7 @@
 //! aggregate on the Figure 2 database is flagged `AQ-P5` while the paper
 //! engine's translation of the same query is clean.
 
-use aqks::analyze::{analyze, Analyzer, AnalyzerOptions, Severity};
+use aqks::analyze::{analyze, Severity};
 use aqks::datasets::university;
 use aqks::relational::DatabaseSchema;
 use aqks::sqlgen::{AggFunc, ColumnRef, Predicate, SelectItem, SelectStatement, TableExpr};
@@ -113,13 +113,6 @@ fn p3_flags_joins_off_the_schema_structure() {
         Predicate::JoinEq(ColumnRef::new("S", "Sname"), ColumnRef::new("C", "Title"));
     let report = analyze(&stmt, &schema());
     assert!(report.has_code("AQ-P3"), "{report:?}");
-
-    // Whitelisting the pair silences it.
-    let options =
-        AnalyzerOptions { allowed_joins: vec![("Student.Sname".into(), "Course.Title".into())] };
-    let schema = schema();
-    let report = Analyzer::new(&schema).with_options(options).analyze(&stmt);
-    assert!(!report.has_code("AQ-P3"), "{report:?}");
 }
 
 #[test]
@@ -199,4 +192,63 @@ fn p5_accepts_lossless_rewrites_over_unnormalized_relations() {
     let generated = engine.generate("Green George COUNT Code", 1).unwrap();
     assert!(generated[0].sql_text.contains("Enrolment"), "{}", generated[0].sql_text);
     assert!(generated[0].diagnostics.is_clean(), "{:?}", generated[0].diagnostics);
+}
+
+// ── Agreement with the plan verifier ─────────────────────────────────
+
+/// The AST analyzer and the plan verifier share their join and
+/// duplicate-inflation rules (`analyze::rules`), so on every statement
+/// either engine generates for the evaluation workloads they must reach
+/// the same verdict: `AQ-P5` exactly when the plan is rejected as
+/// `DuplicateRisk`/`MergedGroups`, `AQ-P3` exactly when it is rejected
+/// as `JoinProvenance`. SQAK's T4/A4 (`MAX … GROUP BY` a matched name)
+/// check that merged groups are found for an aggregate that is not
+/// duplicate-sensitive.
+#[test]
+fn analyzer_and_plan_verifier_agree_on_workload_statements() {
+    use aqks::plancheck::{verify, PlanErrorKind};
+    use aqks_eval::workload::{
+        acmdl_database, acmdl_prime_database, tpch_database, tpch_prime_database,
+    };
+    use aqks_eval::{acmdl_queries, tpch_queries, Scale};
+
+    let workloads = [
+        ("tpch", tpch_database(Scale::Small), tpch_queries()),
+        ("acmdl", acmdl_database(Scale::Small), acmdl_queries()),
+        ("tpch-prime", tpch_prime_database(Scale::Small), tpch_queries()),
+        ("acmdl-prime", acmdl_prime_database(Scale::Small), acmdl_queries()),
+    ];
+    let (mut checked, mut disagreements) = (0, Vec::new());
+    for (label, db, queries) in workloads {
+        let schema = db.schema();
+        let engine = aqks::core::Engine::new(db.clone()).unwrap();
+        let sqak = aqks::sqak::Sqak::new(db.clone());
+        for q in &queries {
+            let mut stmts: Vec<(String, SelectStatement)> = engine
+                .generate(q.text, 3)
+                .unwrap_or_else(|e| panic!("{label} {}: {e}", q.id))
+                .into_iter()
+                .map(|g| (format!("{label} {} engine", q.id), g.sql))
+                .collect();
+            if let Ok(g) = sqak.generate(q.text) {
+                stmts.push((format!("{label} {} sqak", q.id), g.sql));
+            }
+            for (what, stmt) in stmts {
+                checked += 1;
+                let report = analyze(&stmt, &schema);
+                let plan = aqks::sqlgen::plan(&stmt, &db).unwrap();
+                let rejected = verify(&plan, &db, Some(&stmt)).err().map(|e| e.kind);
+                let p5 = matches!(
+                    rejected,
+                    Some(PlanErrorKind::DuplicateRisk | PlanErrorKind::MergedGroups)
+                );
+                let p3 = rejected == Some(PlanErrorKind::JoinProvenance);
+                if report.has_code("AQ-P5") != p5 || report.has_code("AQ-P3") != p3 {
+                    disagreements.push(format!("{what}: {rejected:?} vs {report:?}"));
+                }
+            }
+        }
+    }
+    assert_eq!(checked, 86, "statements covered");
+    assert!(disagreements.is_empty(), "{}", disagreements.join("\n"));
 }
